@@ -157,9 +157,14 @@ fn main() {
             "after = deterministic SipHash faults, atomic stats, reusable ",
             "SynTemplate frames, and batched response drain (wire rows also ",
             "carry interleaved_drain_pps, the per-probe send+validate schedule ",
-            "measured live in the same run for a same-machine comparison; the ",
-            "before pins predate a container slowdown visible on the untouched ",
-            "logical path, so drain_speedup is the trustworthy column)\",",
+            "measured live in the same run for a same-machine comparison, so ",
+            "drain_speedup is the trustworthy column; before pins come from ",
+            "another machine and are no A/B). The logical rows' shortfall ",
+            "against the pins was a real regression, not a slower machine: a ",
+            "per-step HostSet representation match, a second search of the ",
+            "same set for dead addresses, and u128 modular arithmetic in the ",
+            "cyclic walk, all since removed; the same-machine A/B is the ",
+            "probe-logical workload of perfbench\",",
             "\"sweep\":[{}\n]}}\n"
         ),
         TARGETS, reps, rows

@@ -63,7 +63,7 @@ pub use density::{
     PrefixStat,
 };
 pub use metrics::{efficiency_ratio, MonthEval};
-pub use plan::{CycleOutcome, Eval, PlanStream, ProbePlan, StreamError};
+pub use plan::{CycleOutcome, Eval, PlanStream, PrefixOffsets, ProbePlan, StreamError};
 pub use select::{select_prefixes, select_prefixes_budgeted, Selection};
 pub use spec::{parse_spec, SpecError};
 pub use strategy::{

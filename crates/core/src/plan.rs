@@ -347,8 +347,8 @@ impl<F: AddrFamily> ProbePlan<F> {
     /// The shards partition the stream: for any `total ≥ 1`, the union of
     /// shards `0..total` is exactly the single-shard stream's multiset,
     /// with no overlap. Memory per stream is O(1) beyond the borrowed
-    /// prefix list (`FreshSample` additionally holds one cumulative-size
-    /// vector over `announced`, the *input*, never the target set) — this
+    /// prefix list (`FreshSample` additionally holds a [`PrefixOffsets`]
+    /// index over `announced`, the *input*, never the target set) — this
     /// is what lets the scan engine start probing an Internet-scale plan
     /// immediately and fan it out across worker threads.
     ///
@@ -633,6 +633,102 @@ impl<F: AddrFamily> Iterator for AddrStream<'_, F> {
     }
 }
 
+/// Guide-table buckets per announced prefix in [`PrefixOffsets`]: two
+/// keep the forward scan after the bucket lookup under one step on
+/// average.
+const GUIDE_PER_PREFIX: usize = 2;
+
+/// The announced prefixes laid end to end as one offset space, with an
+/// O(1) map from an offset back to the prefix holding it — the
+/// fresh-sample draw's prefix pick.
+///
+/// Prefix `j` holds offsets `starts()[j] .. starts()[j + 1]`. A guide
+/// table built once splits the space into buckets of `⌊total / K⌋`
+/// offsets (`K` is two per prefix, clamped to `total` so a bucket is
+/// never empty); bucket `b` stores the prefix holding offset
+/// `b·⌊total / K⌋`, and [`PrefixOffsets::locate`] finishes with a short
+/// forward scan. It returns exactly what
+/// `starts().partition_point(|&c| c <= off) - 1` returns, without a
+/// binary search's mispredicted branch per step.
+#[derive(Debug, Clone)]
+pub struct PrefixOffsets {
+    /// Offset of each prefix's first address.
+    cum: Vec<u128>,
+    /// Total addresses (saturating at `u128::MAX`).
+    total: u128,
+    /// Offsets per guide bucket (≥ 1 whenever `total > 0`).
+    width: u128,
+    /// `guide[b]`: the prefix holding offset `b · width`.
+    guide: Vec<u32>,
+}
+
+impl PrefixOffsets {
+    /// Index an ordered prefix list.
+    pub fn new<F: AddrFamily>(prefixes: &[Prefix<F>]) -> PrefixOffsets {
+        let mut cum = Vec::with_capacity(prefixes.len());
+        let mut total = 0u128;
+        for p in prefixes {
+            cum.push(total);
+            total = total.saturating_add(p.size_u128());
+        }
+        if total == 0 {
+            return PrefixOffsets {
+                cum,
+                total,
+                width: 1,
+                guide: Vec::new(),
+            };
+        }
+        // K is clamped to the space so that `width ≥ 1`: a space smaller
+        // than K buckets would otherwise divide by zero below
+        let k = (GUIDE_PER_PREFIX as u128 * cum.len() as u128).clamp(1, total);
+        let width = total / k;
+        let buckets = (total - 1) / width + 1; // ≤ 2K
+        let mut guide = Vec::with_capacity(usize::try_from(buckets).unwrap_or(0));
+        let mut j = 0usize;
+        for b in 0..buckets {
+            let off = b * width;
+            while j + 1 < cum.len() && cum[j + 1] <= off {
+                j += 1;
+            }
+            guide.push(u32::try_from(j).expect("prefix lists stay below 2^32 entries"));
+        }
+        PrefixOffsets {
+            cum,
+            total,
+            width,
+            guide,
+        }
+    }
+
+    /// Addresses across all prefixes (saturating at `u128::MAX`).
+    pub fn total(&self) -> u128 {
+        self.total
+    }
+
+    /// Offset of each prefix's first address, ascending.
+    pub fn starts(&self) -> &[u128] {
+        &self.cum
+    }
+
+    /// The prefix holding offset `off`, and `off`'s position inside it.
+    /// `off` must be below [`PrefixOffsets::total`].
+    #[inline]
+    pub fn locate(&self, off: u128) -> (usize, u128) {
+        debug_assert!(off < self.total);
+        // every v4 space fits u64: a hardware divide, not the u128 helper
+        let b = match (u64::try_from(off), u64::try_from(self.width)) {
+            (Ok(o), Ok(w)) => (o / w) as usize,
+            _ => (off / self.width) as usize,
+        };
+        let mut j = self.guide[b] as usize;
+        while j + 1 < self.cum.len() && self.cum[j + 1] <= off {
+            j += 1;
+        }
+        (j, off - self.cum[j])
+    }
+}
+
 /// The fresh-sample draw sequence: every shard replays the same RNG so
 /// the sampled multiset is shard-independent, and keeps draw `i` iff
 /// `i ≡ shard (mod total)`.
@@ -640,12 +736,11 @@ impl<F: AddrFamily> Iterator for AddrStream<'_, F> {
 struct SampleStream<'a, F: AddrFamily> {
     rng: SmallRng,
     prefixes: &'a [Prefix<F>],
-    /// Cumulative announced-space offset of each prefix.
-    cum: Vec<u128>,
-    total_space: u128,
+    offsets: PrefixOffsets,
     i: u64,
     n: u64,
-    shard: u64,
+    /// The next draw index this shard keeps.
+    keep: u64,
     total: u64,
 }
 
@@ -657,20 +752,14 @@ impl<'a, F: AddrFamily> SampleStream<'a, F> {
         shard: u64,
         total: u64,
     ) -> SampleStream<'a, F> {
-        let mut cum = Vec::with_capacity(announced.len());
-        let mut total_space = 0u128;
-        for p in announced {
-            cum.push(total_space);
-            total_space = total_space.saturating_add(p.size_u128());
-        }
+        let offsets = PrefixOffsets::new(announced);
         SampleStream {
             rng: SmallRng::seed_from_u64(seed),
             prefixes: announced,
-            cum,
-            total_space,
+            n: if offsets.total() == 0 { 0 } else { n },
+            offsets,
             i: 0,
-            n: if total_space == 0 { 0 } else { n },
-            shard,
+            keep: shard,
             total,
         }
     }
@@ -683,13 +772,14 @@ impl<F: AddrFamily> Iterator for SampleStream<'_, F> {
         while self.i < self.n {
             // the u128 range draw consumes the RNG exactly like the old
             // u64 draw whenever the space fits u64 (every v4 space does)
-            let off = self.rng.random_range(0..self.total_space);
-            let keep = self.i % self.total == self.shard;
+            let off = self.rng.random_range(0..self.offsets.total());
+            let keep = self.i == self.keep;
             self.i += 1;
             if keep {
-                let j = self.cum.partition_point(|&c| c <= off) - 1;
+                self.keep = self.keep.saturating_add(self.total);
+                let (j, within) = self.offsets.locate(off);
                 return Some(F::addr_from_u128(
-                    F::addr_to_u128(self.prefixes[j].first()) + (off - self.cum[j]),
+                    F::addr_to_u128(self.prefixes[j].first()) + within,
                 ));
             }
         }

@@ -131,6 +131,95 @@ impl<F: AddrFamily> MappedAddrs<F> {
     }
 }
 
+/// Rank-indexed read access to ascending addresses: an owned slice or
+/// a mapped section. The [`HostSet`] searches are generic over it, so a
+/// search matches the set's representation once and then runs a loop
+/// specialised to that storage, with no dispatch per step.
+trait Ranks<F: AddrFamily> {
+    fn len(&self) -> usize;
+
+    fn at(&self, i: usize) -> F::Addr;
+
+    /// Binary search over ranks `[lo, hi)`: first rank where `pred`
+    /// turns false. `pred` must be monotone over the ascending members.
+    #[inline]
+    fn partition_in(
+        &self,
+        mut lo: usize,
+        mut hi: usize,
+        mut pred: impl FnMut(F::Addr) -> bool,
+    ) -> usize {
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.at(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// [`gallop`] over ranks, starting at `base`.
+    #[inline]
+    fn gallop_from(&self, base: usize, mut pred: impl FnMut(F::Addr) -> bool) -> usize {
+        let len = self.len() - base;
+        let mut hi = 1usize;
+        while hi < len && pred(self.at(base + hi)) {
+            hi <<= 1;
+        }
+        let lo = hi >> 1;
+        let hi = hi.min(len);
+        self.partition_in(base + lo, base + hi, pred)
+    }
+}
+
+impl<F: AddrFamily> Ranks<F> for [F::Addr] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[F::Addr]>::len(self)
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> F::Addr {
+        self[i]
+    }
+
+    #[inline]
+    fn partition_in(&self, lo: usize, hi: usize, mut pred: impl FnMut(F::Addr) -> bool) -> usize {
+        lo + self[lo..hi].partition_point(|&a| pred(a))
+    }
+}
+
+impl<F: AddrFamily> Ranks<F> for MappedAddrs<F> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.count
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> F::Addr {
+        self.get(i)
+    }
+}
+
+/// Bind `$r` to a set's storage as a [`Ranks`] implementor and evaluate
+/// `$body` once per representation: the one `match` a search pays.
+macro_rules! with_ranks {
+    ($set:expr, $r:ident => $body:expr) => {
+        match &$set.repr {
+            SetRepr::Owned(v) => {
+                let $r: &[F::Addr] = v;
+                $body
+            }
+            SetRepr::Mapped(m) => {
+                let $r = m;
+                $body
+            }
+        }
+    };
+}
+
 /// How a [`HostSet`] stores its sorted addresses: an owned `Vec`, or a
 /// section of a decoded snapshot buffer read in place.
 #[derive(Clone)]
@@ -153,6 +242,12 @@ enum SetRepr<F: AddrFamily> {
 /// [`HostSet::lower_bound`], [`HostSet::upper_bound`]), so they cost
 /// the same O(log n) searches over either representation and a corpus
 /// replay never pays an O(hosts) decode per month load.
+///
+/// A search dispatches on the representation **once**, then runs a loop
+/// specialised to that storage: over an owned set,
+/// [`HostSet::contains`] is a plain slice `binary_search` and the bound
+/// searches are slice `partition_point`s. Only [`HostSet::get`], a
+/// single-rank access, matches per call.
 #[derive(Clone)]
 pub struct HostSet<F: AddrFamily = V4> {
     repr: SetRepr<F>,
@@ -244,52 +339,31 @@ impl<F: AddrFamily> HostSet<F> {
     /// First rank whose address is `>= addr` (a `partition_point` over
     /// ranks; O(log n) either representation).
     pub fn lower_bound(&self, addr: F::Addr) -> usize {
-        self.partition_in(0, self.len(), |a| a < addr)
+        with_ranks!(self, r => Ranks::<F>::partition_in(r, 0, r.len(), |a| a < addr))
     }
 
     /// First rank whose address is `> addr`.
     pub fn upper_bound(&self, addr: F::Addr) -> usize {
-        self.partition_in(0, self.len(), |a| a <= addr)
-    }
-
-    /// Binary search over ranks `[lo, hi)`: first rank where `pred`
-    /// turns false. `pred` must be monotone over the ascending members.
-    #[inline]
-    fn partition_in(
-        &self,
-        mut lo: usize,
-        mut hi: usize,
-        mut pred: impl FnMut(F::Addr) -> bool,
-    ) -> usize {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.get(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        with_ranks!(self, r => Ranks::<F>::partition_in(r, 0, r.len(), |a| a <= addr))
     }
 
     /// [`gallop`] over ranks, starting at `base`: first rank `>= base`
     /// where `pred` turns false, found by exponential probing — O(log d)
     /// in the distance `d`, not O(log n).
-    pub(crate) fn gallop_from(&self, base: usize, mut pred: impl FnMut(F::Addr) -> bool) -> usize {
-        let len = self.len() - base;
-        let mut hi = 1usize;
-        while hi < len && pred(self.get(base + hi)) {
-            hi <<= 1;
-        }
-        let lo = hi >> 1;
-        let hi = hi.min(len);
-        self.partition_in(base + lo, base + hi, pred)
+    pub(crate) fn gallop_from(&self, base: usize, pred: impl FnMut(F::Addr) -> bool) -> usize {
+        with_ranks!(self, r => Ranks::<F>::gallop_from(r, base, pred))
     }
 
-    /// Membership test (binary search).
+    /// Membership test: a slice `binary_search` for owned sets, a
+    /// rank search over the mapped section otherwise.
     pub fn contains(&self, addr: F::Addr) -> bool {
-        let i = self.lower_bound(addr);
-        i < self.len() && self.get(i) == addr
+        match &self.repr {
+            SetRepr::Owned(v) => v.binary_search(&addr).is_ok(),
+            SetRepr::Mapped(m) => {
+                let i = Ranks::<F>::partition_in(m, 0, m.count, |a| a < addr);
+                i < m.count && m.get(i) == addr
+            }
+        }
     }
 
     /// Size of the intersection with another host set (linear merge).

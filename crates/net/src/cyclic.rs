@@ -20,6 +20,11 @@
 //! not because whole-space v6 enumeration is sensible (it is not; that is
 //! the point of topology-aware selection).
 //!
+//! A walk step is one modular multiply ([`mulmod_step`]). Whenever the
+//! modulus fits 32 bits (every prefix of at most 2³¹ addresses), the
+//! product fits `u64`, so the step is a 64-bit multiply and a hardware
+//! remainder, with no 128-bit division helper on the per-address path.
+//!
 //! The modulus is configurable so small groups can be tested exhaustively;
 //! [`Cyclic::ipv4`] uses ZMap's prime.
 
@@ -74,6 +79,21 @@ pub fn mulmod_u128(a: u128, b: u128, m: u128) -> u128 {
         b >>= 1;
     }
     acc
+}
+
+/// One step of a cyclic walk: `(a * b) mod m` for operands already
+/// reduced below `m`. Whenever `m ≤ u32::MAX` the product fits `u64`, so
+/// the step is one 64-bit multiply and one hardware remainder; wider
+/// moduli take [`mulmod_u128`]. Equal to [`mulmod_u128`] for every
+/// `a, b < m`.
+#[inline]
+pub fn mulmod_step(a: u128, b: u128, m: u128) -> u128 {
+    debug_assert!(a < m && b < m);
+    if m <= u128::from(u32::MAX) {
+        u128::from((a as u64 * b as u64) % m as u64)
+    } else {
+        mulmod_u128(a, b, m)
+    }
 }
 
 /// `(a + b) mod m` for already-reduced operands, overflow-safe.
@@ -374,7 +394,7 @@ impl<F: AddrFamily> Iterator for CyclicIter<F> {
         }
         self.remaining -= 1;
         let out = self.cur;
-        self.cur = mulmod_u128(self.cur, self.step, self.p);
+        self.cur = mulmod_step(self.cur, self.step, self.p);
         Some(F::wide_from_u128(out))
     }
 
@@ -415,7 +435,7 @@ impl<F: AddrFamily> Iterator for AddressIter<F> {
         while self.inner.remaining > 0 {
             self.inner.remaining -= 1;
             let e = self.inner.cur;
-            self.inner.cur = mulmod_u128(self.inner.cur, self.inner.step, self.inner.p);
+            self.inner.cur = mulmod_step(self.inner.cur, self.inner.step, self.inner.p);
             if e <= self.limit {
                 return Some(F::addr_from_u128(e - 1));
             }

@@ -42,8 +42,34 @@
 //! [`SimNetwork`]), and network counters are relaxed atomics, so the
 //! report — including lossy, duplicating runs — is **byte-identical at
 //! any thread count**: the shards partition the plan, and nothing about
-//! a probe's outcome depends on interleaving. Results are folded once
-//! per worker over an mpsc channel at the end.
+//! a probe's outcome depends on interleaving. Shard 0 runs on the
+//! calling thread and shards `1..threads` on scoped workers (a
+//! one-thread scan spawns no thread); results are folded once per
+//! shard, in shard order, at the end.
+//!
+//! ## Per-probe cost model
+//!
+//! On the logical path a probe costs three things:
+//!
+//! * **stream** — the next target from the plan: one cyclic-walk step
+//!   for prefix plans (a 64-bit multiply and hardware remainder when the
+//!   prefix's prime fits 32 bits, see [`tass_net::cyclic::mulmod_step`]),
+//!   one rank read for a hitlist, and one RNG draw plus a guide-table
+//!   lookup for a fresh sample ([`tass_core::PrefixOffsets`]);
+//! * **membership verdict** — [`Responder::verdict`](crate::Responder::verdict):
+//!   one binary search of the probed port's host set, plus one per other
+//!   registered port only when the probed port is closed. Each search
+//!   dispatches on the set's representation once, not per step. The
+//!   network around it adds a relaxed counter add and the fault checks,
+//!   which cost one compare each on a perfect network;
+//! * **engine** — the blocklist check, a 1/64 share of one
+//!   shared-bucket `fetch_add`, and a push of each responsive address.
+//!   The shard's responsive list is sorted and deduplicated once at
+//!   shard end (only a fresh sample can hit an address twice).
+//!
+//! The wire path adds the codec: retargeting the SYN template, the
+//! network's parse and checksum validation, the reply encode, and the
+//! stateless validation of each reply.
 //!
 //! `ScanReport::duration_secs` is the token-bucket virtual time of the
 //! slowest shard **plus one round trip of the network's configured
@@ -56,7 +82,6 @@ use crate::rate::AtomicTokenBucket;
 use crate::responder::addr_hash64;
 use crate::siphash::SipHash24;
 use crate::wire::{self, tcp_flags, WireFamily};
-use std::sync::mpsc;
 use std::sync::Arc;
 use tass_core::{ProbePlan, StreamError};
 use tass_model::HostSet;
@@ -490,7 +515,6 @@ impl<F: ScanFamily> ScanEngine<F> {
     ) -> Result<ScanReport<F>, StreamError> {
         plan.check_streamable(announced)?;
         let threads = cfg.threads.max(1);
-        let (tx, rx) = mpsc::channel::<WorkerResult<F>>();
         let key = SipHash24::new(cfg.seed, cfg.seed.rotate_left(17) ^ 0xA5A5_A5A5);
         // One bucket for the whole scan: every worker fetch_adds into it,
         // so the aggregate rate is cfg.rate_pps regardless of how the
@@ -500,24 +524,26 @@ impl<F: ScanFamily> ScanEngine<F> {
         } else {
             AtomicTokenBucket::unlimited()
         };
-        let bucket = &bucket;
+        let shard = |t: usize| {
+            let targets = plan.stream_shard(cycle, announced, cfg.seed, t as u64, threads as u64);
+            scan_worker(&self.network, cfg, key, &bucket, targets)
+        };
 
         Ok(std::thread::scope(|scope| {
-            for t in 0..threads {
-                let tx = tx.clone();
-                let network = Arc::clone(&self.network);
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    let targets =
-                        plan.stream_shard(cycle, announced, cfg.seed, t as u64, threads as u64);
-                    let res = scan_worker(&network, &cfg, key, bucket, targets);
-                    tx.send(res).expect("aggregator alive");
-                });
-            }
-            drop(tx);
+            // shards 1.. on spawned workers, shard 0 on the calling
+            // thread: a one-thread scan spawns nothing
+            let workers: Vec<_> = (1..threads)
+                .map(|t| scope.spawn(move || shard(t)))
+                .collect();
+            let first = shard(0);
             let mut report = ScanReport::<F>::default();
             let mut responsive: Vec<F::Addr> = Vec::new();
-            for r in rx {
+            let results = std::iter::once(first).chain(
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("scan worker panicked")),
+            );
+            for r in results {
                 report.probes_sent += r.probes_sent;
                 report.blocked_skipped += r.blocked_skipped;
                 report.responses += r.responses;
@@ -575,7 +601,6 @@ fn scan_worker<F: ScanFamily>(
         sample_banners: Vec::new(),
         duration_secs: 0.0,
     };
-    let mut seen = std::collections::HashSet::new();
     let responder = network.responder();
     let mut tmpl = wire::SynTemplate::<F>::new(&wire::FrameSpec {
         src_ip: cfg.source_ip,
@@ -634,9 +659,7 @@ fn scan_worker<F: ScanFamily>(
                 out.rst_responses += counted.rsts;
                 if counted.syn_acks > 0 {
                     out.responses += counted.syn_acks;
-                    if seen.insert(addr) {
-                        out.responsive.push(addr);
-                    }
+                    out.responsive.push(addr);
                 }
             }
         } else if cfg.wire_level {
@@ -651,9 +674,7 @@ fn scan_worker<F: ScanFamily>(
                 out.rst_responses += counted.rsts;
                 if counted.syn_acks > 0 {
                     out.responses += counted.syn_acks;
-                    if seen.insert(addr) {
-                        out.responsive.push(addr);
-                    }
+                    out.responsive.push(addr);
                 }
             }
         } else {
@@ -664,9 +685,7 @@ fn scan_worker<F: ScanFamily>(
                 match network.probe_logical(addr, cfg.port) {
                     Some(reply) if reply.open => {
                         out.responses += u64::from(reply.copies);
-                        if seen.insert(addr) {
-                            out.responsive.push(addr);
-                        }
+                        out.responsive.push(addr);
                     }
                     Some(reply) => out.rst_responses += u64::from(reply.copies),
                     None => {}
@@ -678,6 +697,10 @@ fn scan_worker<F: ScanFamily>(
     // empty or fully-blocklisted shard (no batch ever took a token) and
     // the last batch's virtual send time otherwise
 
+    // only a fresh sample can hit an address twice: one sort at shard
+    // end dedups the hits, so each host is grabbed once below
+    out.responsive.sort_unstable();
+    out.responsive.dedup();
     if cfg.banner_grab {
         for &addr in &out.responsive {
             if let Some(b) = responder.banner(addr, cfg.port) {
@@ -742,6 +765,76 @@ mod tests {
         });
         assert_eq!(wire.responsive, logical.responsive);
         assert_eq!(wire.probes_sent, logical.probes_sent);
+    }
+
+    /// Two services over 1.0.0.0/24: HTTP on every 8th address, SSH
+    /// (port 22) on every 4th — so half the SSH hosts are live with
+    /// port 80 closed and answer an HTTP probe with RST.
+    fn two_service_network(faults: FaultConfig) -> Arc<SimNetwork> {
+        let base = 0x0100_0000u32;
+        let every = |k: u32| -> HostSet {
+            (0..256u32)
+                .filter(|i| i % k == 0)
+                .map(|i| base + i)
+                .collect()
+        };
+        let responder = Responder::new()
+            .with_service(Protocol::Http, every(8))
+            .with_port(22, every(4));
+        Arc::new(SimNetwork::new(responder, faults, 7))
+    }
+
+    #[test]
+    fn logical_and_wire_agree_over_two_services() {
+        for faults in [FaultConfig::default(), FaultConfig::lossy()] {
+            let wire_engine = ScanEngine::new(two_service_network(faults));
+            let logical_engine = ScanEngine::new(two_service_network(faults));
+            let wire = wire_engine.run(&base_cfg());
+            let logical = logical_engine.run(&base_cfg().wire_level(false));
+            assert_eq!(wire.responsive, logical.responsive);
+            assert_eq!(wire.responses, logical.responses);
+            assert_eq!(wire.rst_responses, logical.rst_responses);
+            assert_eq!(wire.probes_sent, logical.probes_sent);
+            assert_eq!(
+                wire_engine.network().stats(),
+                logical_engine.network().stats()
+            );
+            if faults.probe_loss == 0.0 {
+                // 32 HTTP hosts open; the 32 SSH-only hosts answer RST
+                assert_eq!(logical.responsive.len(), 32);
+                assert_eq!(logical.rst_responses, 32);
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_sample_repeats_count_every_reply_but_one_host() {
+        // a /30 holding one live host (1.0.0.0), sampled 64 times: the
+        // host is drawn about 16 times
+        let engine = ScanEngine::new(demo_network(FaultConfig::default()));
+        let announced = vec![p("1.0.0.0/30")];
+        let plan = ProbePlan::FreshSample {
+            per_cycle: 64,
+            seed: 5,
+        };
+        let hits = plan
+            .stream(0, &announced, 0)
+            .filter(|&a| a == 0x0100_0000)
+            .count() as u64;
+        assert!(hits > 1, "the sample must repeat the live host");
+        let report = engine
+            .run_plan(
+                &plan,
+                0,
+                &announced,
+                &base_cfg().threads(1).banner_grab(true),
+            )
+            .unwrap();
+        assert_eq!(report.probes_sent, 64);
+        assert_eq!(report.responses, hits, "every reply is counted");
+        assert_eq!(report.responsive.len(), 1, "the host is held once");
+        assert_eq!(report.banners_grabbed, 1, "and grabbed once");
+        assert_eq!(report.sample_banners.len(), 1);
     }
 
     #[test]

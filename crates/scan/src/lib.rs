@@ -49,5 +49,5 @@ pub mod wire;
 pub use blocklist::{Blocklist, BlocklistParseError};
 pub use engine::{ScanConfig, ScanEngine, ScanFamily, ScanReport, WireReplies};
 pub use net::{FaultConfig, LogicalReply, NetStats, Replies, SimNetwork};
-pub use responder::Responder;
+pub use responder::{Responder, Verdict};
 pub use wire::{FrameBuf, SynTemplate, WireFamily};

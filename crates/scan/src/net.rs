@@ -28,7 +28,7 @@
 //! storage — a response plus at most one duplicate). [`SimNetwork::stats`]
 //! folds the counters into a plain snapshot.
 
-use crate::responder::Responder;
+use crate::responder::{Responder, Verdict};
 use crate::siphash::SipHash24;
 use crate::wire::{self, FrameBuf, TcpFrame, WireError, WireFamily};
 use serde::{Deserialize, Serialize};
@@ -263,12 +263,10 @@ impl<F: AddrFamily> SimNetwork<F> {
             self.stats.probes_lost.add(1);
             return None;
         }
-        let open = if self.responder.is_open(addr, port) {
-            true
-        } else if self.responder.is_live(addr) {
-            false
-        } else {
-            return None;
+        let open = match self.responder.verdict(addr, port) {
+            Verdict::Open => true,
+            Verdict::LiveClosed => false,
+            Verdict::Silent => return None,
         };
         self.stats.responses.add(1);
         if self.fault_fires(addr, DIR_RESPONSE, self.faults.response_loss) {

@@ -21,6 +21,17 @@ pub(crate) fn addr_hash64<F: AddrFamily>(addr: F::Addr) -> u64 {
     (a as u64) ^ ((a >> 64) as u64)
 }
 
+/// How a host answers a SYN, as decided by [`Responder::verdict`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The port is open: the host answers SYN-ACK.
+    Open,
+    /// The host is live on another port, this one is closed: RST.
+    LiveClosed,
+    /// No host at the address: silence.
+    Silent,
+}
+
 /// Answers probes from ground-truth host sets, generic over the address
 /// family. Both probe paths are family-generic: the wire-level
 /// [`Responder::respond`] answers parsed frames of any [`WireFamily`]
@@ -75,6 +86,26 @@ impl<F: AddrFamily> Responder<F> {
         self.services.values().any(|h| h.contains(addr))
     }
 
+    /// How `addr` answers a SYN to `port`: the one membership verdict
+    /// both probe paths use. The probed port's set is searched once; the
+    /// other ports' sets only when that port is closed, to tell a live
+    /// host (RST) from dead space (silence). No set is searched twice.
+    #[inline]
+    pub fn verdict(&self, addr: F::Addr, port: u16) -> Verdict {
+        if self.is_open(addr, port) {
+            return Verdict::Open;
+        }
+        let live = self
+            .services
+            .iter()
+            .any(|(&p, h)| p != port && h.contains(addr));
+        if live {
+            Verdict::LiveClosed
+        } else {
+            Verdict::Silent
+        }
+    }
+
     /// The banner an open service would present, `None` if closed. The
     /// variant is a deterministic function of the address, so repeated
     /// grabs are stable.
@@ -99,22 +130,22 @@ impl<F: WireFamily> Responder<F> {
         if probe.flags & tcp_flags::SYN == 0 || probe.flags & tcp_flags::ACK != 0 {
             return None;
         }
-        if self.is_open(probe.dst_ip, probe.dst_port) {
-            // deterministic per-(host, port) initial sequence number,
-            // hashed over addr-LE ++ port-LE in a stack buffer (the v4
-            // input is the pre-generic 4-byte form exactly)
-            let addr_le = F::addr_bytes_le(probe.dst_ip);
-            let addr_le = addr_le.as_ref();
-            let mut input = [0u8; 20]; // 16-byte address max + 4-byte port
-            input[..addr_le.len()].copy_from_slice(addr_le);
-            input[addr_le.len()..addr_le.len() + 4]
-                .copy_from_slice(&u32::from(probe.dst_port).to_le_bytes());
-            let isn = (self.hash().hash(&input[..addr_le.len() + 4]) & 0xFFFF_FFFF) as u32;
-            Some(FrameBuf::encode(&wire::syn_ack_spec(probe, isn)))
-        } else if self.is_live(probe.dst_ip) {
-            Some(FrameBuf::encode(&wire::rst_spec(probe)))
-        } else {
-            None
+        match self.verdict(probe.dst_ip, probe.dst_port) {
+            Verdict::Open => {
+                // deterministic per-(host, port) initial sequence number,
+                // hashed over addr-LE ++ port-LE in a stack buffer (the v4
+                // input is the pre-generic 4-byte form exactly)
+                let addr_le = F::addr_bytes_le(probe.dst_ip);
+                let addr_le = addr_le.as_ref();
+                let mut input = [0u8; 20]; // 16-byte address max + 4-byte port
+                input[..addr_le.len()].copy_from_slice(addr_le);
+                input[addr_le.len()..addr_le.len() + 4]
+                    .copy_from_slice(&u32::from(probe.dst_port).to_le_bytes());
+                let isn = (self.hash().hash(&input[..addr_le.len() + 4]) & 0xFFFF_FFFF) as u32;
+                Some(FrameBuf::encode(&wire::syn_ack_spec(probe, isn)))
+            }
+            Verdict::LiveClosed => Some(FrameBuf::encode(&wire::rst_spec(probe))),
+            Verdict::Silent => None,
         }
     }
 
@@ -146,6 +177,34 @@ mod tests {
         assert!(r.is_live(200));
         assert!(!r.is_live(300));
         assert_eq!(r.num_endpoints(), 3);
+    }
+
+    #[test]
+    fn verdict_open_live_closed_and_silent() {
+        // HTTP on {100, 200}, FTP on {100}
+        let r = responder();
+        assert_eq!(r.verdict(100, 80), Verdict::Open);
+        assert_eq!(r.verdict(100, 21), Verdict::Open);
+        // 200 runs HTTP only: its closed FTP port answers RST
+        assert_eq!(r.verdict(200, 21), Verdict::LiveClosed);
+        // a port with no registered service still has live hosts
+        assert_eq!(r.verdict(200, 443), Verdict::LiveClosed);
+        // no host at all
+        assert_eq!(r.verdict(300, 80), Verdict::Silent);
+        assert_eq!(r.verdict(300, 443), Verdict::Silent);
+        // the verdict is the open/live ladder it replaces
+        for addr in [0, 100, 150, 200, 300] {
+            for port in [21, 80, 443] {
+                let want = if r.is_open(addr, port) {
+                    Verdict::Open
+                } else if r.is_live(addr) {
+                    Verdict::LiveClosed
+                } else {
+                    Verdict::Silent
+                };
+                assert_eq!(r.verdict(addr, port), want, "{addr}:{port}");
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,65 @@
 //! * the same laws hold for the generic layer at `u128` width:
 //!   `Prefix<V6>` parse/format round-trips and canonicalises,
 //!   `Cyclic<V6>` is exactly-once per cycle on small moduli, and v6
-//!   streams shard-partition exactly like v4 ones.
+//!   streams shard-partition exactly like v4 ones;
+//! * the fast paths equal the reference arithmetic they replace: the
+//!   u64 cyclic step equals `mulmod_u128` on both sides of 2³², and the
+//!   guide-table prefix pick equals a `partition_point` over the
+//!   cumulative offsets, so the sampled multiset is unchanged.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use tass::core::ProbePlan;
+use rand::{Rng, SeedableRng};
+use tass::core::{PrefixOffsets, ProbePlan};
 use tass::model::HostSet;
-use tass::net::cyclic::{is_prime, is_prime_u128, Cyclic};
-use tass::net::{Prefix, V6};
+use tass::net::cyclic::{is_prime, is_prime_u128, mulmod_step, mulmod_u128, Cyclic, ZMAP_PRIME};
+use tass::net::{AddrFamily, Prefix, V4, V6};
+
+/// Moduli on both sides of the 32-bit line the u64 step takes: small
+/// primes, the primes next to 2³¹ and 2³² (4294967291 is the largest
+/// below 2³², ZMap's is the smallest above), and wider ones up past 2⁶⁴.
+const STEP_PRIMES: [u128; 8] = [
+    2,
+    3,
+    65_537,
+    2_147_483_659, // smallest prime above 2^31
+    4_294_967_291, // largest prime below 2^32
+    ZMAP_PRIME as u128,
+    1_099_511_627_791, // smallest prime above 2^40
+    (1u128 << 64) + 13,
+];
+
+/// The pick the guide table replaces: a binary search of the prefix
+/// start offsets.
+fn reference_pick(starts: &[u128], off: u128) -> (usize, u128) {
+    let j = starts.partition_point(|&c| c <= off) - 1;
+    (j, off - starts[j])
+}
+
+/// `locate` agrees with the reference on every prefix boundary and
+/// `draws` random offsets of the space.
+fn check_locate<F: AddrFamily>(prefixes: &[Prefix<F>], rng: &mut SmallRng, draws: usize) {
+    let idx = PrefixOffsets::new(prefixes);
+    let total = idx.total();
+    let want_total = prefixes
+        .iter()
+        .fold(0u128, |acc, p| acc.saturating_add(p.size_u128()));
+    assert_eq!(total, want_total);
+    if total == 0 {
+        return;
+    }
+    let starts = idx.starts();
+    let mut offs: Vec<u128> = vec![0, total - 1];
+    for &c in starts.iter().filter(|&&c| c < total) {
+        offs.push(c);
+        offs.push(c.saturating_sub(1));
+        offs.push((c + 1).min(total - 1));
+    }
+    offs.extend((0..draws).map(|_| rng.random_range(0..total)));
+    for off in offs {
+        assert_eq!(idx.locate(off), reference_pick(starts, off), "offset {off}");
+    }
+}
 
 /// Collapse random `(addr, len)` pairs into a sorted, disjoint prefix
 /// set (overlapping candidates are dropped, keeping the earlier one).
@@ -226,5 +276,99 @@ proptest! {
             union.sort_unstable();
             prop_assert_eq!(&union, &want, "{:?} sharded {}", plan, total);
         }
+    }
+
+    // ---- fast paths against their reference arithmetic ----
+
+    #[test]
+    fn u64_cyclic_step_equals_mulmod_u128_across_2_pow_32(
+        which in 0usize..STEP_PRIMES.len(),
+        a in any::<u128>(),
+        b in any::<u128>(),
+    ) {
+        let p = STEP_PRIMES[which];
+        prop_assert!(is_prime_u128(p), "{} is prime", p);
+        // the walk only ever multiplies reduced operands; the extremes
+        // (p − 1)² are the largest products the u64 path must hold
+        for (x, y) in [(a % p, b % p), (p - 1, p - 1), (p - 1, b % p), (0, a % p)] {
+            prop_assert_eq!(mulmod_step(x, y, p), mulmod_u128(x, y, p), "{} * {} mod {}", x, y, p);
+        }
+    }
+
+    #[test]
+    fn guide_table_pick_equals_partition_point_v4(
+        raw in proptest::collection::vec((any::<u32>(), 8u8..=32), 1..40),
+        seed in any::<u64>(),
+    ) {
+        // any prefix list, in list order: overlaps and repeats included
+        let prefixes: Vec<Prefix> = raw
+            .iter()
+            .map(|&(addr, len)| Prefix::new_truncate(addr, len).expect("len ≤ 32"))
+            .collect();
+        check_locate::<V4>(&prefixes, &mut SmallRng::seed_from_u64(seed), 200);
+    }
+
+    #[test]
+    fn guide_table_pick_equals_partition_point_v6(
+        raw in proptest::collection::vec((any::<u128>(), any::<u8>()), 1..40),
+        seed in any::<u64>(),
+    ) {
+        // every width from /0 (a saturating space) to /128, so the
+        // u128 bucket division and huge buckets are exercised
+        let prefixes: Vec<Prefix<V6>> = raw
+            .iter()
+            .map(|&(addr, len)| Prefix::<V6>::new_truncate(addr, len % 129).expect("len ≤ 128"))
+            .collect();
+        check_locate::<V6>(&prefixes, &mut SmallRng::seed_from_u64(seed), 200);
+    }
+
+    #[test]
+    fn guide_table_pick_on_a_single_prefix_and_a_space_below_k(
+        addr in any::<u32>(),
+        len in 0u8..=32,
+        hosts in 1usize..50,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // a single prefix: every offset maps to it
+        check_locate::<V4>(&[Prefix::new_truncate(addr, len).unwrap()], &mut rng, 100);
+        // /32s only: the space (one address a prefix) is smaller than
+        // the two-per-prefix bucket count K, which must not divide by 0
+        let singles: Vec<Prefix> = (0..hosts as u32)
+            .map(|i| Prefix::host(addr.wrapping_add(i.wrapping_mul(7919))))
+            .collect();
+        check_locate::<V4>(&singles, &mut rng, 100);
+    }
+
+    #[test]
+    fn fresh_sample_stream_equals_the_binary_search_draw(
+        raw in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..12),
+        per_cycle in 0u64..800,
+        seed in any::<u64>(),
+        cycle in 0u32..5,
+    ) {
+        // the drawn sequence, in order, is the one the old
+        // binary-search pick produced from the same RNG
+        let announced = disjoint_prefixes(&raw);
+        prop_assume!(!announced.is_empty());
+        let starts: Vec<u128> = announced
+            .iter()
+            .scan(0u128, |acc, p| {
+                let s = *acc;
+                *acc += p.size_u128();
+                Some(s)
+            })
+            .collect();
+        let total: u128 = announced.iter().map(|p| p.size_u128()).sum();
+        let mut rng = SmallRng::seed_from_u64(seed ^ (u64::from(cycle) << 32));
+        let want: Vec<u32> = (0..per_cycle)
+            .map(|_| {
+                let (j, within) = reference_pick(&starts, rng.random_range(0..total));
+                announced[j].first() + within as u32
+            })
+            .collect();
+        let plan = ProbePlan::FreshSample { per_cycle, seed };
+        let got: Vec<u32> = plan.stream(cycle, &announced, 0).collect();
+        prop_assert_eq!(got, want);
     }
 }
