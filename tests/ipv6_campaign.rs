@@ -250,3 +250,43 @@ fn v6_run_plan_is_thread_count_invariant() {
         }
     }
 }
+
+/// FNV-1a 64-bit, self-contained so the digest below depends on nothing
+/// but the serialized campaign results themselves.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+#[test]
+fn v6_campaign_digest_is_pinned() {
+    // Equivalence lock-down for the v6 campaign driver: one analytic
+    // campaign per v6 strategy (a static hitlist, the feedback-driven
+    // block TASS, and the collapsing fresh sample), serialized to JSON
+    // and hashed. A change to a single byte of any v6 campaign result —
+    // the protocol the driver picks, a plan, an evaluation, a
+    // serialization field — flips this digest.
+    let u = universe();
+    let strategies: [&dyn Strategy<V6>; 3] = [
+        &V6Hitlist,
+        &V6BlockTass {
+            phi: 0.95,
+            block_len: 116,
+        },
+        &V6FreshSample { per_cycle: 100_000 },
+    ];
+    let mut bytes = String::new();
+    for strategy in strategies {
+        let result = run_campaign_v6(&u, strategy, 7);
+        bytes.push_str(&serde_json::to_string(&result).unwrap());
+    }
+    let digest = fnv1a(bytes.as_bytes());
+    assert_eq!(
+        digest, 0x2662_8FD3_B3BF_D16C,
+        "serialized v6 campaigns drifted: digest {digest:#018X}"
+    );
+}

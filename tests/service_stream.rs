@@ -192,6 +192,81 @@ fn finished_job_streams_the_stored_bytes() {
     daemon.shutdown(ShutdownMode::Drain).unwrap();
 }
 
+/// A job suspended by a checkpoint shutdown and resumed by a restarted
+/// daemon streams exactly the oracle's bytes: the resumed run rebuilds
+/// the stream from the checkpoint's completed months and carries on
+/// publishing the rest, so the concatenation matches the library run
+/// and the stored body.
+#[test]
+fn resumed_job_streams_the_oracle_bytes() {
+    let (spec, seed) = ("reseeding-tass:more:0.95:3", 21);
+    let dir = std::env::temp_dir().join(format!("tassd-stream-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServiceConfig {
+        workers: 1,
+        quota: TenantQuota::default(),
+        month_delay: Duration::from_millis(40),
+        checkpoint_dir: Some(dir.clone()),
+    };
+
+    // first daemon: run partway, then checkpoint-shutdown mid-campaign
+    let daemon = Tassd::start(registry(), cfg()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+    let id = submit(&mut client, "alice", spec, seed);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, body) = client
+            .get(&format!("/v1/campaigns/{id}"), Some("alice"))
+            .unwrap();
+        if body.contains(r#""status":"running""#) && !body.contains(r#""months_done":0"#) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "campaign never got going: {body}"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+    let report = daemon.shutdown(ShutdownMode::Checkpoint).unwrap();
+    assert_eq!(report.checkpointed, 1, "the in-flight job must persist");
+
+    // second daemon over the same directory: stream the resumed job
+    // from its first piece while it finishes
+    let daemon = Tassd::start(registry(), cfg()).unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut chunks = 0usize;
+    let mut stream_client = HttpClient::connect(server.addr());
+    let (status, streamed) = stream_client
+        .get_stream(
+            &format!("/v1/campaigns/{id}/results/stream"),
+            Some("alice"),
+            |_chunk| chunks += 1,
+        )
+        .unwrap();
+    assert_eq!(status, 200);
+    let streamed = String::from_utf8(streamed).unwrap();
+    let want = oracle(spec, seed);
+    assert_eq!(
+        streamed, want,
+        "resumed stream must equal the library oracle"
+    );
+    let months = want.matches(r#""month":"#).count();
+    assert_eq!(chunks, months + 2, "prefix + months + suffix");
+    let mut client = HttpClient::connect(server.addr());
+    wait_done(&mut client, "alice", id);
+    let (status, stored) = client
+        .get(&format!("/v1/campaigns/{id}/results"), Some("alice"))
+        .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(streamed, stored, "stream must equal the unpaginated body");
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A slowloris-style client trickling its request one byte at a time
 /// must not stall anyone else: a fast client completes a full batch of
 /// requests while the slow one is still dripping, and the slow client
