@@ -1,7 +1,8 @@
 //! One bench per paper exhibit: regenerates each table/figure at bench
 //! scale and measures the cost of doing so. The measured *values* land in
 //! `results/` when run through the `repro` binary; these benches guard the
-//! *cost* of every step of the reproduction pipeline, per DESIGN.md §4:
+//! *cost* of every step of the reproduction pipeline, exhibits picked
+//! from the index in `tass_experiments::exhibits::all`:
 //!
 //! | bench               | exhibit            |
 //! |---------------------|--------------------|

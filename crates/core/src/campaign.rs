@@ -12,19 +12,28 @@
 //! [`observe`](crate::strategy::PreparedStrategy::observe) so
 //! feedback-driven strategies (re-seeding, adaptive) can react.
 //!
+//! One private loop runs every campaign; three drivers reach it:
+//!
+//! * [`run_campaign_strategy`] — any [`Strategy`] of either address
+//!   family over a matching [`GroundTruth`] source;
+//! * [`run_campaign`] — the same for a registry [`StrategyKind`];
+//! * [`run_campaign_checkpointed`] — a registry campaign with a per-month
+//!   control hook that can suspend it and resume it later.
+//!
 //! Campaigns are independent and deterministic per seed, so the matrix
-//! shards for free: [`run_matrix`] fans its campaigns out over a
-//! [`CampaignPool`] of `std::thread` workers (sized by the
-//! `CAMPAIGN_WORKERS` environment variable, default: all cores) and
-//! gathers results in input order — byte-identical to the serial path at
-//! any worker count.
+//! shards for free: [`CampaignPool::run_matrix`] fans its campaigns out
+//! over `std::thread` workers ([`CampaignPool::from_env`] sizes the pool
+//! from the `CAMPAIGN_WORKERS` environment variable, default: all cores)
+//! and gathers results in input order — byte-identical to the serial
+//! path at any worker count.
 //!
 //! Nothing here reads the synthetic `Universe` concretely: every driver
 //! is generic over a [`GroundTruth`] source, so a corpus of real monthly
 //! scan snapshots ([`tass_model::corpus::CorpusGroundTruth`]) replays
 //! through the identical loop — `Universe`/`V6Universe` are simply the
 //! in-memory implementations, with unchanged behaviour (the pinned
-//! digest in `tests/matrix_parallel.rs` proves byte-identity).
+//! digests in `tests/matrix_parallel.rs` and `tests/ipv6_campaign.rs`
+//! prove byte-identity).
 
 use crate::metrics::MonthEval;
 use crate::plan::CycleOutcome;
@@ -33,7 +42,6 @@ use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use tass_model::{GroundTruth, Protocol};
-use tass_net::{AddrFamily, V4, V6};
 
 /// The stable job-level identity of a campaign: the strategy spec string
 /// (see [`StrategyKind::spec`]), the protocol, and the seed — everything
@@ -89,7 +97,9 @@ pub struct CampaignResult {
 // *omitted* when `None`, not rendered as `null`, so every pre-existing
 // serialized campaign result — including the pinned FNV digest in
 // `tests/matrix_parallel.rs` — keeps its exact bytes. The field order of
-// the former derive is preserved, with `job` appended last.
+// the former derive is preserved, with `job` appended last — so `months`
+// is followed by nothing but the optional `job`, which is what
+// [`CampaignResult::json_envelope`] relies on to cut the bytes around it.
 impl Serialize for CampaignResult {
     fn to_value(&self) -> Value {
         let mut fields = vec![
@@ -139,6 +149,50 @@ impl CampaignResult {
         self.job = Some(job);
         self
     }
+
+    /// The serialized bytes around the `months` array: everything up to
+    /// and including its `[`, and everything from its `]` to the end.
+    /// With the array's elements (`serde_json::to_string` of each month,
+    /// comma-separated) in between, the two make exactly
+    /// `serde_json::to_string(self)` — so a caller can emit a result
+    /// month by month, or splice a page of its months, without scanning
+    /// JSON. Both parts depend only on the envelope fields, which a
+    /// campaign fixes at its t₀ cycle.
+    pub fn json_envelope(&self) -> (String, String) {
+        let mut bare = CampaignResult {
+            strategy: self.strategy.clone(),
+            protocol: self.protocol,
+            probes_per_cycle: self.probes_per_cycle,
+            probe_space_fraction: self.probe_space_fraction,
+            months: Vec::new(),
+            job: None,
+        };
+        // without a job, the empty months array closes the object: the
+        // head is everything before its closing `]}`
+        let head_len = serde_json::to_string(&bare)
+            .expect("campaign results always serialize")
+            .len()
+            - "]}".len();
+        bare.job = self.job.clone();
+        let mut head = serde_json::to_string(&bare).expect("campaign results always serialize");
+        let tail = head.split_off(head_len);
+        (head, tail)
+    }
+
+    /// Append one completed month, fixing the envelope's probe-cost
+    /// fields from the t₀ cycle when it is the first.
+    fn record(&mut self, month: MonthEval, announced: u128) {
+        if self.months.is_empty() {
+            self.probes_per_cycle = month.eval.probes;
+            self.probe_space_fraction = if announced > 0 {
+                month.eval.probes as f64 / announced as f64
+            } else {
+                0.0
+            };
+        }
+        self.months.push(month);
+    }
+
     /// Hitrate at a given month; `0.0` for months the campaign never ran
     /// (empty campaigns, or a month beyond the horizon).
     pub fn hitrate(&self, month: u32) -> f64 {
@@ -237,16 +291,18 @@ pub enum CampaignRun {
 /// replaying those cycles' plans and outcomes — skipping the expensive
 /// `evaluate` step, whose numbers are already stored — and continues with
 /// the first unfinished month. `control` is consulted at each remaining
-/// month boundary; `Err` carries the completed months back out when it
-/// suspends. Both paths are byte-identical to an uninterrupted serial
-/// run (campaigns are deterministic per seed).
+/// month boundary with the result so far (see
+/// [`run_campaign_checkpointed`]); `Err` carries the completed months back
+/// out when it suspends. Both paths are byte-identical to an
+/// uninterrupted serial run (campaigns are deterministic per seed).
 fn drive_campaign_from<F, G>(
     source: &G,
     strategy: &dyn Strategy<F>,
     protocol: Protocol,
     seed: u64,
-    mut months: Vec<MonthEval>,
-    control: &mut dyn FnMut(u32, &[MonthEval]) -> CampaignStep,
+    job: Option<CampaignJob>,
+    done: Vec<MonthEval>,
+    control: &mut dyn FnMut(u32, &CampaignResult) -> CampaignStep,
 ) -> Result<CampaignResult, Vec<MonthEval>>
 where
     F: FamilySpace,
@@ -254,28 +310,38 @@ where
 {
     let space = source.topology();
     let announced = F::announced_space(space);
+    let announced_count = F::wide_to_u128(announced);
     let t0 = source.snapshot(0, protocol);
     let mut prepared = strategy.prepare(space, &t0, seed);
+    let mut result = CampaignResult {
+        strategy: strategy.label(),
+        protocol,
+        probes_per_cycle: 0,
+        probe_space_fraction: 0.0,
+        months: Vec::with_capacity(source.months() as usize + 1),
+        job,
+    };
     // fast-forward: replay the completed cycles to rebuild strategy
     // state. plan() must run for every cycle (it advances per-cycle
     // state such as rotating exploration windows); the observe edge only
     // matters to feedback strategies, and the stored evaluations are
     // trusted rather than recomputed.
-    for m in 0..months.len() as u32 {
+    for (m, month) in (0u32..).zip(done) {
         let plan = prepared.plan(m);
         if prepared.wants_feedback() {
             let truth = source.snapshot(m, protocol);
             let outcome = CycleOutcome {
                 cycle: m,
-                probes: months[m as usize].eval.probes,
+                probes: month.eval.probes,
                 responsive: plan.observed(&truth, m, announced),
             };
             prepared.observe(m, &outcome);
         }
+        result.record(month, announced_count);
     }
-    for m in months.len() as u32..=source.months() {
-        if control(m, &months) == CampaignStep::Suspend {
-            return Err(months);
+    for m in result.months.len() as u32..=source.months() {
+        if control(m, &result) == CampaignStep::Suspend {
+            return Err(result.months);
         }
         let truth = source.snapshot(m, protocol);
         let plan = prepared.plan(m);
@@ -297,111 +363,32 @@ where
         } else {
             plan.evaluate(&truth, m, announced)
         };
-        months.push(MonthEval { month: m, eval });
+        result.record(MonthEval { month: m, eval }, announced_count);
     }
-    Ok(assemble_result(
-        strategy.label(),
-        protocol,
-        F::wide_to_u128(announced),
-        months,
-    ))
-}
-
-/// The result envelope a completed month series determines. Every
-/// driver funnels its finished months through this one constructor, so
-/// any two producers handed the same label, protocol, announced count
-/// and month series serialize to the same bytes.
-fn assemble_result(
-    strategy: String,
-    protocol: Protocol,
-    announced: u128,
-    months: Vec<MonthEval>,
-) -> CampaignResult {
-    CampaignResult {
-        strategy,
-        protocol,
-        probes_per_cycle: months[0].eval.probes,
-        probe_space_fraction: if announced > 0 {
-            months[0].eval.probes as f64 / announced as f64
-        } else {
-            0.0
-        },
-        months,
-        job: None,
-    }
-}
-
-/// The [`CampaignResult`] a campaign's *completed* months already
-/// determine — the envelope of an in-flight campaign, as if the months
-/// done so far were its whole horizon. `None` until the t₀ cycle has
-/// completed (the envelope's probe-cost fields are defined by month 0).
-///
-/// Because this goes through the same constructor as the finished
-/// result, its serialized prefix (everything before the `months` array
-/// elements) and suffix (everything after them) are **byte-identical**
-/// to the final result's — which is what lets the service stream a
-/// running campaign's result incrementally and still deliver exactly
-/// the bytes [`run_campaign_checkpointed`] will store at completion.
-pub fn partial_result<G>(
-    source: &G,
-    kind: StrategyKind,
-    protocol: Protocol,
-    seed: u64,
-    months: Vec<MonthEval>,
-) -> Option<CampaignResult>
-where
-    G: GroundTruth + ?Sized,
-{
-    if months.is_empty() {
-        return None;
-    }
-    let announced = V4::wide_to_u128(V4::announced_space(source.topology()));
-    Some(
-        assemble_result(kind.strategy().label(), protocol, announced, months)
-            .with_job(CampaignJob::new(kind, protocol, seed)),
-    )
-}
-
-/// The uninterruptible convenience over [`drive_campaign_from`]: fresh
-/// start, never suspends.
-fn drive_campaign<F, G>(
-    source: &G,
-    strategy: &dyn Strategy<F>,
-    protocol: Protocol,
-    seed: u64,
-) -> CampaignResult
-where
-    F: FamilySpace,
-    G: GroundTruth<F> + ?Sized,
-{
-    match drive_campaign_from(source, strategy, protocol, seed, Vec::new(), &mut |_, _| {
-        CampaignStep::Continue
-    }) {
-        Ok(result) => result,
-        Err(_) => unreachable!("the always-Continue control never suspends"),
-    }
+    Ok(result)
 }
 
 /// Run (or resume) a registry campaign with a per-month control hook —
 /// the resident service's driver.
 ///
 /// `control` is called before each month runs with the month index and
-/// the evaluations of every month completed so far; it is the progress
-/// callback (the service publishes completed months to streaming result
-/// fetches from this edge) and the suspension point. Returning
+/// the result so far: its `months` are the months completed, its `job` is
+/// the checkpoint's [`CampaignJob`], and its envelope fields are final
+/// once month 0 is done (zero before). It is the progress callback (the
+/// service publishes completed months to streaming result fetches from
+/// this edge) and the suspension point. Returning
 /// [`CampaignStep::Suspend`] stops the campaign at that month boundary
 /// and hands back a [`CampaignCheckpoint`] holding everything completed
 /// so far; passing that checkpoint back in resumes exactly where it
 /// stopped. Because campaigns are deterministic per seed, the final
 /// [`CampaignResult`] of any suspend/resume schedule is **byte-identical**
-/// to the uninterrupted [`run_campaign`] over the same source — the done
-/// result carries the checkpoint's [`CampaignJob`] identity stamped in
-/// (the one addition over the batch drivers, which identify results
-/// positionally).
+/// to the uninterrupted [`run_campaign`] over the same source with the
+/// job identity stamped in (the one addition over the batch drivers,
+/// which identify results positionally).
 pub fn run_campaign_checkpointed<G>(
     source: &G,
     checkpoint: CampaignCheckpoint,
-    control: &mut dyn FnMut(u32, &[MonthEval]) -> CampaignStep,
+    control: &mut dyn FnMut(u32, &CampaignResult) -> CampaignStep,
 ) -> CampaignRun
 where
     G: GroundTruth + ?Sized,
@@ -412,9 +399,17 @@ where
         seed,
         months,
     } = checkpoint;
-    let job = CampaignJob::new(kind, protocol, seed);
-    match drive_campaign_from(source, &*kind.strategy(), protocol, seed, months, control) {
-        Ok(result) => CampaignRun::Done(result.with_job(job)),
+    let job = Some(CampaignJob::new(kind, protocol, seed));
+    match drive_campaign_from(
+        source,
+        &*kind.strategy(),
+        protocol,
+        seed,
+        job,
+        months,
+        control,
+    ) {
+        Ok(result) => CampaignRun::Done(result),
         Err(months) => CampaignRun::Suspended(CampaignCheckpoint {
             kind,
             protocol,
@@ -428,37 +423,36 @@ where
 /// source for one protocol: prepare at t₀, then
 /// `plan → evaluate → observe` each month.
 ///
-/// `source` is any [`GroundTruth`] — the synthetic `Universe`, a
-/// [`tass_model::corpus::CorpusGroundTruth`] replaying archived
-/// snapshots from disk, or a user-defined feed.
-pub fn run_campaign_strategy<G>(
+/// The driver is generic over the address family: `source` is any
+/// [`GroundTruth`] of the strategy's family — the synthetic `Universe`,
+/// a [`tass_model::corpus::CorpusGroundTruth`] replaying archived
+/// snapshots from disk, or a user-defined feed for IPv4; the seeded
+/// `V6Universe` for IPv6, where `protocol` is usually the source's only
+/// one (`source.protocols()[0]`). Results are directly comparable across
+/// families: hitrates are relative to the month's ground truth, probe
+/// costs are absolute address counts.
+pub fn run_campaign_strategy<F, G>(
     source: &G,
-    strategy: &dyn Strategy,
+    strategy: &dyn Strategy<F>,
     protocol: Protocol,
     seed: u64,
 ) -> CampaignResult
 where
-    G: GroundTruth + ?Sized,
+    F: FamilySpace,
+    G: GroundTruth<F> + ?Sized,
 {
-    drive_campaign(source, strategy, protocol, seed)
-}
-
-/// Run one IPv6 strategy's full lifecycle over a v6 [`GroundTruth`]
-/// source (e.g. the seeded `V6Universe`): the same
-/// `prepare → plan → evaluate → observe` loop as
-/// [`run_campaign_strategy`], seeded from the v6 space instead of a BGP
-/// topology. Results are directly comparable: hitrates are relative to
-/// the month's ground truth, probe costs are absolute address counts.
-pub fn run_campaign_v6<G>(source: &G, strategy: &dyn Strategy<V6>, seed: u64) -> CampaignResult
-where
-    G: GroundTruth<V6> + ?Sized,
-{
-    let protocol = source
-        .protocols()
-        .first()
-        .copied()
-        .expect("a v6 ground-truth source holds at least one protocol");
-    drive_campaign(source, strategy, protocol, seed)
+    match drive_campaign_from(
+        source,
+        strategy,
+        protocol,
+        seed,
+        None,
+        Vec::new(),
+        &mut |_, _| CampaignStep::Continue,
+    ) {
+        Ok(result) => result,
+        Err(_) => unreachable!("the always-Continue control never suspends"),
+    }
 }
 
 /// Run one registry strategy over all months of a source for one
@@ -504,8 +498,8 @@ impl CampaignPool {
 
     /// Size the pool from the environment: the `CAMPAIGN_WORKERS`
     /// variable when set to a positive integer, otherwise all available
-    /// cores. This is what the free [`run_matrix`] uses, so CI can pin
-    /// the whole test suite to a worker count.
+    /// cores. Batch callers size their pools this way, so CI can pin the
+    /// whole test suite to a worker count.
     ///
     /// A set-but-malformed value (`CAMPAIGN_WORKERS=abc`, `=0`, `=-3`)
     /// falls back to all cores **with a one-line stderr warning** naming
@@ -633,18 +627,6 @@ impl Default for CampaignPool {
     }
 }
 
-/// Run several strategies over every protocol of a [`GroundTruth`]
-/// source, sharded over a [`CampaignPool::from_env`] worker pool
-/// (`CAMPAIGN_WORKERS` workers when set, all cores otherwise). Results
-/// are byte-identical to the serial loop at any worker count, in
-/// protocol-major input order.
-pub fn run_matrix<G>(source: &G, kinds: &[StrategyKind], seed: u64) -> Vec<CampaignResult>
-where
-    G: GroundTruth + ?Sized,
-{
-    CampaignPool::from_env().run_matrix(source, kinds, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,7 +698,7 @@ mod tests {
     fn matrix_runs_all_protocols() {
         let u = universe();
         let kinds = [StrategyKind::FullScan, StrategyKind::IpHitlist];
-        let rs = run_matrix(&u, &kinds, 1);
+        let rs = CampaignPool::from_env().run_matrix(&u, &kinds, 1);
         assert_eq!(rs.len(), 8);
         // every protocol appears twice
         for proto in Protocol::ALL {
@@ -924,6 +906,66 @@ mod tests {
                     "{kind:?} suspended at {stop_at}: resume must be byte-identical"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn json_envelope_splices_back_to_the_full_bytes() {
+        // head + comma-joined month elements + tail is the serializer's
+        // own output, with and without a job, for any number of months
+        let u = universe();
+        let kind = StrategyKind::IpHitlist;
+        let plain = run_campaign(&u, kind, Protocol::Http, 1);
+        let stamped = plain
+            .clone()
+            .with_job(CampaignJob::new(kind, Protocol::Http, 1));
+        for result in [plain, stamped] {
+            for n in [0, 1, result.months.len()] {
+                let mut r = result.clone();
+                r.months.truncate(n);
+                let (head, tail) = r.json_envelope();
+                let elements: Vec<String> = r
+                    .months
+                    .iter()
+                    .map(|m| serde_json::to_string(m).unwrap())
+                    .collect();
+                assert_eq!(
+                    format!("{head}{}{tail}", elements.join(",")),
+                    serde_json::to_string(&r).unwrap(),
+                    "{n} months, job {:?}",
+                    r.job
+                );
+                assert!(head.ends_with("\"months\":["), "{head}");
+                assert!(tail.starts_with(']'), "{tail}");
+            }
+        }
+    }
+
+    #[test]
+    fn checkpointed_control_sees_the_result_so_far() {
+        // the hook's in-flight result has the final envelope from month 0
+        // on and grows by one month per boundary
+        let u = universe();
+        let kind = StrategyKind::Tass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+        };
+        let mut seen = Vec::new();
+        let CampaignRun::Done(done) = run_campaign_checkpointed(
+            &u,
+            CampaignCheckpoint::new(kind, Protocol::Http, 3),
+            &mut |m, partial| {
+                assert_eq!(partial.months.len() as u32, m);
+                seen.push(partial.clone());
+                CampaignStep::Continue
+            },
+        ) else {
+            panic!("never suspended, must be Done");
+        };
+        assert_eq!(seen.len(), done.months.len());
+        for partial in &seen[1..] {
+            assert_eq!(partial.json_envelope(), done.json_envelope());
+            assert_eq!(partial.months[..], done.months[..partial.months.len()]);
         }
     }
 

@@ -53,9 +53,8 @@ pub mod spec;
 pub mod strategy;
 
 pub use campaign::{
-    partial_result, run_campaign, run_campaign_checkpointed, run_campaign_strategy,
-    run_campaign_v6, run_matrix, CampaignCheckpoint, CampaignJob, CampaignPool, CampaignResult,
-    CampaignRun, CampaignStep,
+    run_campaign, run_campaign_checkpointed, run_campaign_strategy, CampaignCheckpoint,
+    CampaignJob, CampaignPool, CampaignResult, CampaignRun, CampaignStep,
 };
 pub use cluster::{cluster_units, Cluster, ClusterConfig};
 pub use density::{
@@ -67,7 +66,7 @@ pub use plan::{CycleOutcome, Eval, PlanStream, PrefixOffsets, ProbePlan, StreamE
 pub use select::{select_prefixes, select_prefixes_budgeted, Selection};
 pub use spec::{parse_spec, SpecError};
 pub use strategy::{
-    AdaptiveTass, Block24Sample, FamilySpace, FullScan, IpHitlist, Prepared, PreparedStrategy,
-    RandomPrefix, RandomSample, ReseedingTass, Strategy, StrategyKind, Tass, V6BlockTass,
-    V6FreshSample, V6Hitlist,
+    AdaptiveTass, Block24Sample, FamilySpace, FullScan, IpHitlist, PreparedStrategy, RandomPrefix,
+    RandomSample, ReseedingTass, Strategy, StrategyKind, Tass, V6BlockTass, V6FreshSample,
+    V6Hitlist,
 };

@@ -143,8 +143,8 @@ impl<F: AddrFamily> ProbePlan<F> {
     ///
     /// `cycle` feeds the fresh-sample RNG so repeated samples differ
     /// cycle to cycle, as they would in a real campaign. The arithmetic
-    /// is byte-identical to the seed implementation's `Prepared::evaluate`
-    /// for IPv4 (probe counts above 2⁶⁴ — possible only for v6 prefix
+    /// is byte-identical to the seed implementation's frozen-plan
+    /// evaluation for IPv4 (probe counts above 2⁶⁴ — possible only for v6 prefix
     /// plans — saturate [`Eval::probes`]).
     pub fn evaluate(&self, truth: &Snapshot<F>, cycle: u32, announced_space: F::Wide) -> Eval {
         let total = truth.hosts.len() as u64;

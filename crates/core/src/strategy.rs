@@ -60,8 +60,8 @@ pub use tass_model::FamilySpace;
 /// generic over the address family (default IPv4).
 ///
 /// Implement this (plus [`PreparedStrategy`] for the per-campaign state)
-/// to plug a new strategy into [`crate::campaign::run_campaign_strategy`]
-/// (or [`crate::campaign::run_campaign_v6`]), the exhibits, and the scan
+/// to plug a new strategy of either family into
+/// [`crate::campaign::run_campaign_strategy`], the exhibits, and the scan
 /// engine. All built-in strategies go through this same interface; the
 /// seeding context is the family's [`FamilySpace::Space`].
 pub trait Strategy<F: FamilySpace = V4>: fmt::Debug {
@@ -231,7 +231,8 @@ impl StrategyKind {
 
 /// A prepared strategy with a fixed plan: probes the same targets every
 /// cycle and ignores feedback. All six seed strategies reduce to this
-/// (and so do the static v6 strategies — the type is family-generic).
+/// (and so do the static v6 strategies — the type is family-generic):
+/// each builds its plan in its own [`Strategy::prepare`].
 #[derive(Debug, Clone)]
 pub struct StaticPrepared<F: AddrFamily = V4> {
     plan: ProbePlan<F>,
@@ -259,63 +260,6 @@ impl<F: AddrFamily> PreparedStrategy<F> for StaticPrepared<F> {
     }
 }
 
-/// Build the fixed plan of one of the six static strategy kinds. This is
-/// the seed implementation's preparation logic, verbatim — the single
-/// source of truth both for the trait impls and for the [`Prepared`]
-/// compatibility wrapper, so the two paths cannot drift apart.
-fn prepare_static(
-    kind: StrategyKind,
-    topo: &Topology,
-    t0: &Snapshot,
-    seed: u64,
-) -> (ProbePlan, Option<Selection>) {
-    let announced = topo.announced_space();
-    match kind {
-        StrategyKind::FullScan => (ProbePlan::All, None),
-        StrategyKind::Tass { view, phi } => {
-            // count through the snapshot's memoised index, rank top-k only
-            let v = view_of(topo, view);
-            let counts = DensityCounts::units(v, t0);
-            let sel = select_prefixes_budgeted(counts, phi, 0);
-            (ProbePlan::Prefixes(sel.sorted_prefixes()), Some(sel))
-        }
-        StrategyKind::IpHitlist => (ProbePlan::Addrs(t0.hosts.clone()), None),
-        StrategyKind::RandomSample { fraction } => {
-            let per_cycle = (announced as f64 * fraction).round() as u64;
-            (ProbePlan::FreshSample { per_cycle, seed }, None)
-        }
-        StrategyKind::Block24Sample { fraction } => (
-            ProbePlan::Prefixes(block24_panel(topo, t0, fraction, seed)),
-            None,
-        ),
-        StrategyKind::RandomPrefix {
-            view,
-            space_fraction,
-        } => {
-            let v = view_of(topo, view);
-            let budget = (announced as f64 * space_fraction) as u64;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut picked = Vec::new();
-            let mut space = 0u64;
-            let n = v.len();
-            let mut tried = std::collections::HashSet::new();
-            while space < budget && tried.len() < n {
-                let i = rng.random_range(0..n);
-                if tried.insert(i) {
-                    let p = v.units()[i].prefix;
-                    picked.push(p);
-                    space += p.size();
-                }
-            }
-            picked.sort_unstable();
-            (ProbePlan::Prefixes(picked), None)
-        }
-        StrategyKind::ReseedingTass { .. } | StrategyKind::AdaptiveTass { .. } => {
-            unreachable!("feedback strategies have their own prepare")
-        }
-    }
-}
-
 /// The periodic full scan.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FullScan;
@@ -325,9 +269,8 @@ impl Strategy for FullScan {
         "full-scan".into()
     }
 
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(StrategyKind::FullScan, topo, t0, seed);
-        Box::new(StaticPrepared::new(plan, sel))
+    fn prepare(&self, _topo: &Topology, _t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
+        Box::new(StaticPrepared::new(ProbePlan::All, None))
     }
 }
 
@@ -345,17 +288,14 @@ impl Strategy for Tass {
         format!("tass-{}-phi{}", self.view, self.phi)
     }
 
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::Tass {
-                view: self.view,
-                phi: self.phi,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
+    fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
+        // count through the snapshot's memoised index, rank top-k only
+        let counts = DensityCounts::units(view_of(topo, self.view), t0);
+        let sel = select_prefixes_budgeted(counts, self.phi, 0);
+        Box::new(StaticPrepared::new(
+            ProbePlan::Prefixes(sel.sorted_prefixes()),
+            Some(sel),
+        ))
     }
 }
 
@@ -368,9 +308,11 @@ impl Strategy for IpHitlist {
         "ip-hitlist".into()
     }
 
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(StrategyKind::IpHitlist, topo, t0, seed);
-        Box::new(StaticPrepared::new(plan, sel))
+    fn prepare(&self, _topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
+        Box::new(StaticPrepared::new(
+            ProbePlan::Addrs(t0.hosts.clone()),
+            None,
+        ))
     }
 }
 
@@ -386,16 +328,12 @@ impl Strategy for RandomSample {
         format!("random-sample-{}", self.fraction)
     }
 
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::RandomSample {
-                fraction: self.fraction,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
+    fn prepare(&self, topo: &Topology, _t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+        let per_cycle = (topo.announced_space() as f64 * self.fraction).round() as u64;
+        Box::new(StaticPrepared::new(
+            ProbePlan::FreshSample { per_cycle, seed },
+            None,
+        ))
     }
 }
 
@@ -412,15 +350,10 @@ impl Strategy for Block24Sample {
     }
 
     fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::Block24Sample {
-                fraction: self.fraction,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
+        Box::new(StaticPrepared::new(
+            ProbePlan::Prefixes(block24_panel(topo, t0, self.fraction, seed)),
+            None,
+        ))
     }
 }
 
@@ -438,17 +371,24 @@ impl Strategy for RandomPrefix {
         format!("random-prefix-{}-{}", self.view, self.space_fraction)
     }
 
-    fn prepare(&self, topo: &Topology, t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
-        let (plan, sel) = prepare_static(
-            StrategyKind::RandomPrefix {
-                view: self.view,
-                space_fraction: self.space_fraction,
-            },
-            topo,
-            t0,
-            seed,
-        );
-        Box::new(StaticPrepared::new(plan, sel))
+    fn prepare(&self, topo: &Topology, _t0: &Snapshot, seed: u64) -> Box<dyn PreparedStrategy> {
+        let v = view_of(topo, self.view);
+        let budget = (topo.announced_space() as f64 * self.space_fraction) as u64;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut picked = Vec::new();
+        let mut space = 0u64;
+        let n = v.len();
+        let mut tried = std::collections::HashSet::new();
+        while space < budget && tried.len() < n {
+            let i = rng.random_range(0..n);
+            if tried.insert(i) {
+                let p = v.units()[i].prefix;
+                picked.push(p);
+                space += p.size();
+            }
+        }
+        picked.sort_unstable();
+        Box::new(StaticPrepared::new(ProbePlan::Prefixes(picked), None))
     }
 }
 
@@ -864,70 +804,6 @@ impl Strategy<V6> for V6FreshSample {
     }
 }
 
-// ------------------------------------------------------- compat wrapper
-
-/// A strategy frozen at t₀ — the static snapshot view of the lifecycle.
-///
-/// This is the seed API, kept as a thin wrapper over
-/// [`StrategyKind::strategy`] + [`PreparedStrategy::plan`]`(0)`: it holds
-/// the first cycle's plan and evaluates it against any month. For the six
-/// static strategies this is the *whole* behaviour; feedback strategies
-/// ([`ReseedingTass`], [`AdaptiveTass`]) need the full lifecycle loop in
-/// [`crate::campaign::run_campaign_strategy`] and cannot be frozen here.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    /// The strategy that was prepared.
-    pub kind: StrategyKind,
-    /// Addresses probed per scan cycle.
-    pub probes_per_cycle: u64,
-    /// Fraction of the announced space probed per cycle.
-    pub probe_space_fraction: f64,
-    /// The TASS selection details (present for TASS strategies).
-    pub selection: Option<Selection>,
-    /// The fixed plan probed each cycle.
-    pub plan: ProbePlan,
-    announced_space: u64,
-}
-
-impl Prepared {
-    /// Prepare a static strategy from the t₀ ground truth.
-    ///
-    /// `seed` drives the randomized strategies (samples, random prefixes);
-    /// TASS and the hitlist are deterministic.
-    ///
-    /// Panics for the feedback strategies — they are not expressible as a
-    /// frozen probe set; drive them through
-    /// [`crate::campaign::run_campaign_strategy`] instead.
-    pub fn prepare(kind: StrategyKind, topo: &Topology, t0: &Snapshot, seed: u64) -> Prepared {
-        assert!(
-            !matches!(
-                kind,
-                StrategyKind::ReseedingTass { .. } | StrategyKind::AdaptiveTass { .. }
-            ),
-            "feedback strategies cannot be frozen into a static Prepared; \
-             use run_campaign_strategy"
-        );
-        let announced = topo.announced_space();
-        let (plan, selection) = prepare_static(kind, topo, t0, seed);
-        Prepared {
-            kind,
-            probes_per_cycle: plan.probe_count(announced),
-            probe_space_fraction: plan.space_fraction(announced),
-            selection,
-            plan,
-            announced_space: announced,
-        }
-    }
-
-    /// Evaluate against one month's ground truth.
-    ///
-    /// `month` feeds the fresh-sample RNG so repeated samples differ
-    /// month to month, as they would in a real campaign.
-    pub fn evaluate(&self, truth: &Snapshot, month: u32) -> Eval {
-        self.plan.evaluate(truth, month, self.announced_space)
-    }
-}
-
 /// Build the Heidemann-style /24 panel: 50 % random announced blocks,
 /// 25 % blocks responsive at t₀, 25 % densest blocks at t₀.
 fn block24_panel(topo: &Topology, t0: &Snapshot, fraction: f64, seed: u64) -> Vec<Prefix> {
@@ -985,36 +861,38 @@ mod tests {
         Universe::generate(&UniverseConfig::small(21))
     }
 
+    /// The cycle-0 plan of a registry strategy prepared at `t0` — for the
+    /// static strategies, the plan every cycle probes.
+    fn plan0(kind: StrategyKind, u: &Universe, t0: &Snapshot, seed: u64) -> ProbePlan {
+        kind.strategy().prepare(u.topology(), t0, seed).plan(0)
+    }
+
     #[test]
     fn full_scan_always_perfect() {
         let u = small_universe();
-        let prep = Prepared::prepare(
-            StrategyKind::FullScan,
-            u.topology(),
-            u.snapshot(0, Protocol::Http),
-            1,
-        );
+        let announced = u.topology().announced_space();
+        let plan = plan0(StrategyKind::FullScan, &u, u.snapshot(0, Protocol::Http), 1);
         for month in 0..=6 {
-            let e = prep.evaluate(u.snapshot(month, Protocol::Http), month);
+            let e = plan.evaluate(u.snapshot(month, Protocol::Http), month, announced);
             assert_eq!(e.found, e.total);
             assert_eq!(e.hitrate, 1.0);
         }
-        assert_eq!(prep.probes_per_cycle, u.topology().announced_space());
+        assert_eq!(plan.probe_count(announced), announced);
     }
 
     #[test]
     fn tass_phi1_month0_is_perfect() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Ftp);
+        let announced = u.topology().announced_space();
         for view in [ViewKind::LessSpecific, ViewKind::MoreSpecific] {
-            let prep =
-                Prepared::prepare(StrategyKind::Tass { view, phi: 1.0 }, u.topology(), t0, 1);
-            let e = prep.evaluate(t0, 0);
+            let plan = plan0(StrategyKind::Tass { view, phi: 1.0 }, &u, t0, 1);
+            let e = plan.evaluate(t0, 0, announced);
             assert_eq!(
                 e.hitrate, 1.0,
                 "{view}: all t0 hosts are in responsive prefixes"
             );
-            assert!(prep.probes_per_cycle < u.topology().announced_space());
+            assert!(plan.probe_count(announced) < announced);
         }
     }
 
@@ -1022,23 +900,21 @@ mod tests {
     fn tass_phi95_month0_exceeds_95() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let prep = Prepared::prepare(
-            StrategyKind::Tass {
-                view: ViewKind::MoreSpecific,
-                phi: 0.95,
-            },
-            u.topology(),
-            t0,
-            1,
-        );
-        let e = prep.evaluate(t0, 0);
+        let kind = StrategyKind::Tass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+        };
+        let mut prepared = kind.strategy().prepare(u.topology(), t0, 1);
+        let e = prepared
+            .plan(0)
+            .evaluate(t0, 0, u.topology().announced_space());
         assert!(
             e.hitrate > 0.95,
             "hitrate {} must exceed phi at t0",
             e.hitrate
         );
         assert!(e.hitrate < 1.0, "phi=0.95 should not cover everything");
-        let sel = prep.selection.as_ref().unwrap();
+        let sel = prepared.selection().unwrap();
         assert!(sel.space_fraction < 1.0);
     }
 
@@ -1046,29 +922,30 @@ mod tests {
     fn m_view_selection_needs_less_space_than_l_view() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let l = Prepared::prepare(
+        let announced = u.topology().announced_space();
+        let l = plan0(
             StrategyKind::Tass {
                 view: ViewKind::LessSpecific,
                 phi: 1.0,
             },
-            u.topology(),
+            &u,
             t0,
             1,
-        );
-        let m = Prepared::prepare(
+        )
+        .probe_count(announced);
+        let m = plan0(
             StrategyKind::Tass {
                 view: ViewKind::MoreSpecific,
                 phi: 1.0,
             },
-            u.topology(),
+            &u,
             t0,
             1,
-        );
+        )
+        .probe_count(announced);
         assert!(
-            m.probes_per_cycle < l.probes_per_cycle,
-            "paper §3.3: m-prefixes are denser, so full coverage is cheaper: {} vs {}",
-            m.probes_per_cycle,
-            l.probes_per_cycle
+            m < l,
+            "paper §3.3: m-prefixes are denser, so full coverage is cheaper: {m} vs {l}"
         );
     }
 
@@ -1076,12 +953,13 @@ mod tests {
     fn hitlist_perfect_at_t0_then_decays() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Cwmp);
-        let prep = Prepared::prepare(StrategyKind::IpHitlist, u.topology(), t0, 1);
-        assert_eq!(prep.probes_per_cycle, t0.len() as u64);
-        let e0 = prep.evaluate(t0, 0);
+        let announced = u.topology().announced_space();
+        let plan = plan0(StrategyKind::IpHitlist, &u, t0, 1);
+        assert_eq!(plan.probe_count(announced), t0.len() as u64);
+        let e0 = plan.evaluate(t0, 0, announced);
         assert_eq!(e0.hitrate, 1.0);
-        let e3 = prep.evaluate(u.snapshot(3, Protocol::Cwmp), 3);
-        let e6 = prep.evaluate(u.snapshot(6, Protocol::Cwmp), 6);
+        let e3 = plan.evaluate(u.snapshot(3, Protocol::Cwmp), 3, announced);
+        let e6 = plan.evaluate(u.snapshot(6, Protocol::Cwmp), 6, announced);
         assert!(
             e3.hitrate < 0.95,
             "CWMP hitlist must decay, got {}",
@@ -1094,19 +972,20 @@ mod tests {
     fn tass_decays_slower_than_hitlist() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let tass = Prepared::prepare(
+        let announced = u.topology().announced_space();
+        let tass = plan0(
             StrategyKind::Tass {
                 view: ViewKind::LessSpecific,
                 phi: 1.0,
             },
-            u.topology(),
+            &u,
             t0,
             1,
         );
-        let hit = Prepared::prepare(StrategyKind::IpHitlist, u.topology(), t0, 1);
+        let hit = plan0(StrategyKind::IpHitlist, &u, t0, 1);
         let t6 = u.snapshot(6, Protocol::Http);
-        let tass6 = tass.evaluate(t6, 6).hitrate;
-        let hit6 = hit.evaluate(t6, 6).hitrate;
+        let tass6 = tass.evaluate(t6, 6, announced).hitrate;
+        let hit6 = hit.evaluate(t6, 6, announced).hitrate;
         assert!(
             tass6 > hit6 + 0.05,
             "paper's core claim: TASS {tass6} must hold up much better than hitlist {hit6}"
@@ -1121,27 +1000,28 @@ mod tests {
     fn random_prefix_worse_than_tass_at_same_budget() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let tass = Prepared::prepare(
+        let announced = u.topology().announced_space();
+        let tass = plan0(
             StrategyKind::Tass {
                 view: ViewKind::MoreSpecific,
                 phi: 0.95,
             },
-            u.topology(),
+            &u,
             t0,
             1,
         );
-        let budget = tass.probe_space_fraction;
-        let rand = Prepared::prepare(
+        let budget = tass.space_fraction(announced);
+        let rand = plan0(
             StrategyKind::RandomPrefix {
                 view: ViewKind::MoreSpecific,
                 space_fraction: budget,
             },
-            u.topology(),
+            &u,
             t0,
             99,
         );
-        let e_tass = tass.evaluate(t0, 0);
-        let e_rand = rand.evaluate(t0, 0);
+        let e_tass = tass.evaluate(t0, 0, announced);
+        let e_rand = rand.evaluate(t0, 0, announced);
         assert!(
             e_tass.hitrate > e_rand.hitrate + 0.2,
             "density ranking must beat random prefixes: {} vs {}",
@@ -1154,20 +1034,15 @@ mod tests {
     fn block24_panel_respects_budget_and_mix() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let prep = Prepared::prepare(
-            StrategyKind::Block24Sample { fraction: 0.01 },
-            u.topology(),
-            t0,
-            5,
-        );
+        let plan = plan0(StrategyKind::Block24Sample { fraction: 0.01 }, &u, t0, 5);
         let announced = u.topology().announced_space();
-        let frac = prep.probes_per_cycle as f64 / announced as f64;
+        let frac = plan.probe_count(announced) as f64 / announced as f64;
         assert!(
             (0.004..0.02).contains(&frac),
             "panel covers {frac}, wanted ≈ 0.01"
         );
         // the panel includes some responsive blocks, so it finds some hosts
-        let e = prep.evaluate(t0, 0);
+        let e = plan.evaluate(t0, 0, announced);
         assert!(e.found > 0);
         assert!(e.hitrate < 0.9, "a 1% panel cannot cover most hosts");
     }
@@ -1176,13 +1051,8 @@ mod tests {
     fn random_sample_efficiency_matches_density() {
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let prep = Prepared::prepare(
-            StrategyKind::RandomSample { fraction: 0.05 },
-            u.topology(),
-            t0,
-            5,
-        );
-        let e = prep.evaluate(t0, 0);
+        let plan = plan0(StrategyKind::RandomSample { fraction: 0.05 }, &u, t0, 5);
+        let e = plan.evaluate(t0, 0, u.topology().announced_space());
         // expected hitrate of a uniform sample ≈ sample fraction
         assert!(
             (0.02..0.09).contains(&e.hitrate),
@@ -1239,32 +1109,51 @@ mod tests {
             phi: 0.95,
         };
         let mut prepared = kind.strategy().prepare(u.topology(), t0, 1);
-        let frozen = Prepared::prepare(kind, u.topology(), t0, 1);
-        // the lifecycle's cycle-0 plan is the frozen plan, bit for bit
-        assert_eq!(prepared.plan(0), frozen.plan);
+        let first = prepared.plan(0);
+        // a static strategy is frozen at t₀: its plan is the selection's
+        // prefixes in address order, bit for bit, every cycle
         assert_eq!(
-            prepared.selection().unwrap().prefixes,
-            frozen.selection.as_ref().unwrap().prefixes
+            first,
+            ProbePlan::Prefixes(prepared.selection().unwrap().sorted_prefixes())
         );
+        for cycle in 1..=6 {
+            assert_eq!(prepared.plan(cycle), first, "cycle {cycle}");
+        }
+        assert!(!prepared.wants_feedback());
     }
 
     #[test]
     fn prepared_rejects_feedback_strategies() {
+        // the feedback strategies cannot be frozen into one t₀ plan: they
+        // ask the campaign driver for every cycle's outcome, and only the
+        // six static strategies decline it
         let u = small_universe();
         let t0 = u.snapshot(0, Protocol::Http);
-        let result = std::panic::catch_unwind(|| {
-            Prepared::prepare(
-                StrategyKind::AdaptiveTass {
-                    view: ViewKind::MoreSpecific,
-                    phi: 0.95,
-                    explore: 0.1,
-                },
-                u.topology(),
-                t0,
-                1,
-            )
-        });
-        assert!(result.is_err(), "freezing an adaptive strategy must panic");
+        let feedback = [
+            StrategyKind::ReseedingTass {
+                view: ViewKind::MoreSpecific,
+                phi: 0.95,
+                delta_t: 3,
+            },
+            StrategyKind::AdaptiveTass {
+                view: ViewKind::MoreSpecific,
+                phi: 0.95,
+                explore: 0.1,
+            },
+        ];
+        for kind in feedback {
+            let prepared = kind.strategy().prepare(u.topology(), t0, 1);
+            assert!(prepared.wants_feedback(), "{kind:?} must want feedback");
+        }
+        let frozen = [
+            StrategyKind::FullScan,
+            StrategyKind::IpHitlist,
+            StrategyKind::RandomSample { fraction: 0.01 },
+        ];
+        for kind in frozen {
+            let prepared = kind.strategy().prepare(u.topology(), t0, 1);
+            assert!(!prepared.wants_feedback(), "{kind:?} is static");
+        }
     }
 
     #[test]
@@ -1308,16 +1197,16 @@ mod tests {
         };
         let mut prepared = strat.prepare(u.topology(), t0, 1);
         let announced = u.topology().announced_space();
-        let static_probes = Prepared::prepare(
+        let static_probes = plan0(
             StrategyKind::Tass {
                 view: ViewKind::MoreSpecific,
                 phi: 0.95,
             },
-            u.topology(),
+            &u,
             t0,
             1,
         )
-        .probes_per_cycle;
+        .probe_count(announced);
         let plan = prepared.plan(0);
         let probes = plan.probe_count(announced);
         assert!(probes > static_probes, "exploration adds probes");

@@ -1,4 +1,4 @@
-//! One module per paper exhibit. See DESIGN.md §4 for the index.
+//! One module per paper exhibit; [`all`] is the index.
 
 pub mod ablation;
 pub mod adaptive;

@@ -1,8 +1,9 @@
 //! # tass-experiments — reproduction harness
 //!
-//! One module per table/figure of the paper (see DESIGN.md §4 for the
-//! exhibit index). The `repro` binary runs any subset and writes aligned
-//! text tables to stdout plus CSV files under `results/`.
+//! One module per table/figure of the paper ([`exhibits::all`] is the
+//! exhibit index; `repro --list` prints it). The `repro` binary runs any
+//! subset and writes aligned text tables to stdout plus CSV files under
+//! `results/`.
 //!
 //! ```no_run
 //! use tass_experiments::{Scenario, ScenarioConfig, exhibits};

@@ -4,8 +4,9 @@
 //! (prefix densities are the paper's Figure 4: a sharply decaying curve
 //! over five orders of magnitude). They are implemented here — inverse-CDF
 //! for the bounded Pareto, Box–Muller for the log-normal — instead of
-//! pulling in `rand_distr`, keeping the dependency footprint to the crates
-//! allowed by the workspace policy (see DESIGN.md §6).
+//! pulling in `rand_distr`, keeping the dependency footprint to the
+//! offline stand-ins under `crates/compat/` (see the workspace
+//! `Cargo.toml`).
 
 use rand::Rng;
 

@@ -2,7 +2,8 @@
 //!
 //! Replaces the paper's censys.io dataset (28 full IPv4 scans, 4.1 TB) with
 //! a seeded, class-driven simulation of protocol host populations and their
-//! monthly evolution. See DESIGN.md §3.3 for the substitution argument.
+//! monthly evolution. [`universe`] says what the stand-in keeps of the real
+//! corpus, [`population`] how its densities mirror the paper's Figure 4.
 //!
 //! Ground-truth containers ([`HostSet`], [`Snapshot`]) are generic over
 //! the address family with an IPv4 default; [`V6Universe`] synthesises a

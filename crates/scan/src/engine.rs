@@ -107,12 +107,6 @@ pub struct ScanConfig<F: ScanFamily = V4> {
     pub banner_grab: bool,
     /// Build/parse real frames (slower, full fidelity).
     pub wire_level: bool,
-    /// Wire path only: send the whole probe batch before draining its
-    /// replies (the default), instead of alternating send and validate
-    /// per probe. Outcomes are identical either way — the interleaved
-    /// mode exists so the drain benchmark can compare both on the same
-    /// machine in the same run.
-    pub drain_batched: bool,
     /// Scanner source address.
     pub source_ip: F::Addr,
     /// Seed for permutation and validation keys.
@@ -129,7 +123,6 @@ impl<F: ScanFamily> Default for ScanConfig<F> {
             blocklist: Blocklist::iana_default(),
             banner_grab: false,
             wire_level: true,
-            drain_batched: true,
             source_ip: F::default_source_ip(),
             seed: 0x5CAA_77E5,
         }
@@ -198,14 +191,6 @@ impl<F: ScanFamily> ScanConfig<F> {
         self
     }
 
-    /// Choose between batched (default) and per-probe interleaved
-    /// response draining on the wire path. Reports are identical; only
-    /// the send/validate schedule differs.
-    pub fn drain_batched(mut self, yes: bool) -> Self {
-        self.drain_batched = yes;
-        self
-    }
-
     /// Set the scanner source address.
     pub fn source_ip(mut self, ip: F::Addr) -> Self {
         self.source_ip = ip;
@@ -224,8 +209,8 @@ impl<F: ScanFamily> ScanConfig<F> {
 /// deduplication, and banner logic are all family-generic over the
 /// [`WireFamily`] codec; what remains per family is only genuine policy —
 /// which IANA registry backs the default blocklist and which documentation
-/// address the scanner sources from. `wire_probe` ships a real
-/// codec-backed default for every wire family: both `ScanEngine` (IPv4)
+/// address the scanner sources from. `wire_send` and `wire_drain` ship a
+/// real codec-backed default for every wire family: both `ScanEngine` (IPv4)
 /// and `ScanEngine<V6>` encode, transmit, parse, and statelessly validate
 /// genuine frames when `wire_level` is set.
 pub trait ScanFamily: WireFamily {
@@ -294,27 +279,6 @@ pub trait ScanFamily: WireFamily {
             }
         }
         out
-    }
-
-    /// One whole wire-level probe: [`ScanFamily::wire_send`] followed
-    /// immediately by [`ScanFamily::wire_drain`]. The engine's hot loop
-    /// batches the two phases instead; this is the convenient form for
-    /// tests and one-off probes.
-    fn wire_probe(
-        network: &SimNetwork<Self>,
-        cfg: &ScanConfig<Self>,
-        key: SipHash24,
-        addr: Self::Addr,
-        tmpl: &mut wire::SynTemplate<Self>,
-    ) -> Option<WireReplies> {
-        let (replies, src_port, expected_seq) = Self::wire_send(network, key, addr, tmpl)?;
-        Some(Self::wire_drain(
-            cfg,
-            addr,
-            src_port,
-            expected_seq,
-            &replies,
-        ))
     }
 }
 
@@ -634,7 +598,7 @@ fn scan_worker<F: ScanFamily>(
         out.duration_secs = bucket.take_n(n as u64);
         out.probes_sent += n as u64;
 
-        if cfg.wire_level && cfg.drain_batched {
+        if cfg.wire_level {
             // wire path: every probe is an encoded, checksum-validated
             // frame of the family's codec; counters come from the frames.
             // Send the whole batch first — replies park in their inline
@@ -655,21 +619,6 @@ fn scan_worker<F: ScanFamily>(
                     continue;
                 };
                 let counted = F::wire_drain(cfg, addr, *src_port, *seq, replies);
-                out.validation_failures += counted.validation_failures;
-                out.rst_responses += counted.rsts;
-                if counted.syn_acks > 0 {
-                    out.responses += counted.syn_acks;
-                    out.responsive.push(addr);
-                }
-            }
-        } else if cfg.wire_level {
-            // interleaved drain: validate each probe's replies before
-            // sending the next — the pre-batching schedule, kept for the
-            // drain benchmark's same-machine comparison
-            for &addr in &batch[..n] {
-                let Some(counted) = F::wire_probe(network, cfg, key, addr, &mut tmpl) else {
-                    continue;
-                };
                 out.validation_failures += counted.validation_failures;
                 out.rst_responses += counted.rsts;
                 if counted.syn_acks > 0 {

@@ -17,13 +17,13 @@
 //! nothing across tenants.
 //!
 //! The results endpoint returns the stored `CampaignResult` JSON bytes
-//! verbatim — the daemon serializes a result once, when the campaign
-//! finishes, and never re-renders it, so the HTTP body is byte-identical
-//! to `serde_json::to_string(&run_campaign(…))` run locally. With
-//! `offset`/`limit` query parameters it returns the same envelope with
-//! the `months` array sliced to the requested page, spliced from byte
-//! ranges of the stored JSON (still never re-serialised); without them
-//! the body stays bit-for-bit what it always was.
+//! verbatim — the daemon serializes each month of a result once, as the
+//! campaign completes it, and never re-renders it, so the HTTP body is
+//! byte-identical to `serde_json::to_string(&run_campaign(…))` run
+//! locally. With `offset`/`limit` query parameters it returns the same
+//! envelope with the `months` array sliced to the requested page,
+//! spliced from the same stored pieces (still never re-serialised);
+//! without them the body stays bit-for-bit what it always was.
 //!
 //! The `/results/stream` variant serves the same result as chunked
 //! transfer encoding **without waiting for the campaign to finish**:

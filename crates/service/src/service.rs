@@ -33,8 +33,8 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 use tass_core::{
-    partial_result, run_campaign_checkpointed, CampaignCheckpoint, CampaignPool, CampaignRun,
-    CampaignStep, MonthEval, StrategyKind,
+    run_campaign_checkpointed, CampaignCheckpoint, CampaignPool, CampaignResult, CampaignRun,
+    CampaignStep, StrategyKind,
 };
 use tass_model::corpus::CorpusError;
 use tass_model::registry::{SharedSource, SourceEntry, SourceRegistry};
@@ -280,89 +280,33 @@ struct Job {
     /// by the worker for the duration of the run.
     checkpoint: Option<CampaignCheckpoint>,
     months_done: u32,
-    /// The byte-stable `CampaignResult` JSON, exactly as
-    /// `serde_json::to_string` rendered it.
-    result_json: Option<String>,
-    /// Byte spans of the stored JSON's `"months"` array, computed once
-    /// when the result is stored so paged fetches splice substrings of
-    /// `result_json` instead of re-serialising anything.
-    result_spans: Option<ResultSpans>,
-    /// Result pieces published incrementally while the job runs (the
-    /// streaming endpoint's source until `result_json` lands); dropped
-    /// when the job finishes.
-    stream: Option<StreamParts>,
+    /// The result's JSON as a piece list, published as the campaign
+    /// runs: the envelope head through the months array's `[` (once
+    /// month 0 is done), one element per completed month (each after the
+    /// first with its leading comma), and — once the job is done — the
+    /// tail from `]` to the end. A done job's pieces concatenate to
+    /// exactly `serde_json::to_string` of its `CampaignResult`; the full
+    /// body, result pages and result streams are all spliced from them.
+    result: Vec<String>,
     completion_index: Option<u64>,
 }
 
-/// The pieces of a running job's result published so far: rendered by
-/// the campaign control hook with the same serializer that renders the
-/// final stored result, so every streamed byte is identical to the byte
-/// the finished job will serve from `result_json`.
-struct StreamParts {
-    /// Envelope bytes through the months array's `[`.
-    prefix: String,
-    /// Serialized month elements, in month order; every element after
-    /// the first carries its leading comma.
-    entries: Vec<String>,
-}
-
-/// Where the months live inside a stored result's JSON bytes.
-#[derive(Debug, Clone)]
-struct ResultSpans {
-    /// Byte index of the months array's `[`.
-    open: usize,
-    /// Byte index of the months array's `]`.
-    close: usize,
-    /// Per-month element byte range `[start, end)` inside the JSON.
-    months: Vec<(usize, usize)>,
-}
-
-/// Scan a stored result's JSON for the byte spans of its top-level
-/// `"months"` array elements. One forward pass over bytes already in
-/// memory; the daemon never re-renders a result after storing it.
-fn month_spans(json: &str) -> Option<ResultSpans> {
-    let key = "\"months\":[";
-    let open = json.find(key)? + key.len() - 1;
-    let bytes = json.as_bytes();
-    let mut months = Vec::new();
-    let mut i = open + 1;
-    let mut start = i;
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    loop {
-        let b = *bytes.get(i)?;
-        if in_str {
-            if esc {
-                esc = false;
-            } else if b == b'\\' {
-                esc = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-        } else {
-            match b {
-                b'"' => in_str = true,
-                b'{' | b'[' => depth += 1,
-                b']' if depth == 0 => {
-                    if start < i {
-                        months.push((start, i));
-                    }
-                    return Some(ResultSpans {
-                        open,
-                        close: i,
-                        months,
-                    });
-                }
-                b'}' | b']' => depth -= 1,
-                b',' if depth == 0 => {
-                    months.push((start, i));
-                    start = i + 1;
-                }
-                _ => {}
-            }
+/// Append the pieces of `result` not yet in `pieces`: the envelope head
+/// once month 0 is done, then each completed month's element.
+fn publish(pieces: &mut Vec<String>, result: &CampaignResult) {
+    if pieces.is_empty() {
+        if result.months.is_empty() {
+            return;
         }
-        i += 1;
+        pieces.push(result.json_envelope().0);
+    }
+    for (i, eval) in result.months.iter().enumerate().skip(pieces.len() - 1) {
+        let element = serde_json::to_string(eval).expect("month evals always serialize");
+        pieces.push(if i == 0 {
+            element
+        } else {
+            format!(",{element}")
+        });
     }
 }
 
@@ -400,6 +344,26 @@ impl JobTable {
 
     fn queued_total(&self) -> usize {
         self.tenants.values().map(|t| t.queue.len()).sum()
+    }
+
+    /// Job `id` of `tenant`, if it exists and has finished: its result
+    /// pieces, split into the envelope head, the month elements and the
+    /// envelope tail.
+    fn done_pieces(&self, tenant: &str, id: u64) -> Result<(&str, &[String], &str), ResultError> {
+        let job = self
+            .jobs
+            .get(&id)
+            .filter(|j| j.tenant == tenant)
+            .ok_or(ResultError::NotFound)?;
+        match (job.status, job.result.split_first()) {
+            (JobStatus::Done, Some((head, rest))) => {
+                let (tail, months) = rest.split_last().expect("a done result has a tail");
+                Ok((head, months, tail))
+            }
+            _ => Err(ResultError::NotDone {
+                status: job.status.tag().to_string(),
+            }),
+        }
     }
 
     /// Claim the next runnable job, visiting tenants round-robin so no
@@ -588,9 +552,7 @@ impl ServiceCore {
                 status: JobStatus::Queued,
                 checkpoint: Some(CampaignCheckpoint::new(req.kind, protocol, req.seed)),
                 months_done: 0,
-                result_json: None,
-                result_spans: None,
-                stream: None,
+                result: Vec::new(),
                 completion_index: None,
             },
         );
@@ -626,25 +588,16 @@ impl ServiceCore {
 
     /// The finished job's byte-stable result JSON.
     pub fn job_result(&self, tenant: &str, id: u64) -> Result<String, ResultError> {
-        let table = self.table.lock().expect("job table lock");
-        match table.jobs.get(&id).filter(|j| j.tenant == tenant) {
-            None => Err(ResultError::NotFound),
-            Some(job) => match &job.result_json {
-                Some(json) => Ok(json.clone()),
-                None => Err(ResultError::NotDone {
-                    status: job.status.tag().to_string(),
-                }),
-            },
-        }
+        self.job_result_page(tenant, id, 0, None)
     }
 
     /// A page of the finished job's result: the same envelope as
     /// [`ServiceCore::job_result`] with the `months` array sliced to
-    /// `[offset, offset + limit)`. The body is spliced from at most
-    /// three substrings of the stored JSON — prefix through `[`, the
-    /// contiguous byte range of the selected months, and `]` through the
-    /// end — so paging never re-serialises the result. An `offset` past
-    /// the end yields the envelope with an empty months array.
+    /// `[offset, offset + limit)`. The body is spliced from the stored
+    /// result pieces — the envelope head, the selected month elements
+    /// (the first one without its leading comma), and the envelope tail
+    /// — so paging never re-serialises the result. An `offset` past the
+    /// end yields the envelope with an empty months array.
     pub fn job_result_page(
         &self,
         tenant: &str,
@@ -653,43 +606,38 @@ impl ServiceCore {
         limit: Option<usize>,
     ) -> Result<String, ResultError> {
         let table = self.table.lock().expect("job table lock");
-        let job = match table.jobs.get(&id).filter(|j| j.tenant == tenant) {
-            None => return Err(ResultError::NotFound),
-            Some(job) => job,
-        };
-        let (json, spans) = match (&job.result_json, &job.result_spans) {
-            (Some(json), Some(spans)) => (json, spans),
-            _ => {
-                return Err(ResultError::NotDone {
-                    status: job.status.tag().to_string(),
-                })
-            }
-        };
+        let (head, months, tail) = table.done_pieces(tenant, id)?;
         let end = match limit {
-            Some(l) => offset.saturating_add(l).min(spans.months.len()),
-            None => spans.months.len(),
+            Some(l) => offset.saturating_add(l).min(months.len()),
+            None => months.len(),
         };
-        let page = &spans.months[offset.min(spans.months.len())..end];
-        let mut out = String::with_capacity(json.len());
-        out.push_str(&json[..spans.open + 1]);
-        if let (Some(&(s, _)), Some(&(_, e))) = (page.first(), page.last()) {
-            out.push_str(&json[s..e]);
+        let start = offset.min(end);
+        let page = &months[start..end];
+        let mut out = String::with_capacity(
+            head.len() + page.iter().map(String::len).sum::<usize>() + tail.len(),
+        );
+        out.push_str(head);
+        for (i, element) in page.iter().enumerate() {
+            out.push_str(if i == 0 && start > 0 {
+                &element[1..] // the page's first element loses its comma
+            } else {
+                element
+            });
         }
-        out.push_str(&json[spans.close..]);
+        out.push_str(tail);
         Ok(out)
     }
 
     /// Piece `piece` of job `id`'s result stream — the streaming
     /// endpoint's pull source.
     ///
-    /// While the job runs, pieces come from the stream parts the
-    /// campaign control hook publishes at each month boundary (a piece
-    /// the campaign hasn't reached yet is [`StreamPiece::Pending`]).
-    /// Once the job finishes, pieces are spliced from the stored
-    /// `result_json` by the same spans that serve paged fetches. The two
-    /// sources are byte-identical piece for piece, so a stream that
-    /// starts against a running job and finishes against the stored
-    /// result still concatenates to exactly the unpaginated body.
+    /// Pieces are the job's result pieces, published by the campaign
+    /// control hook at each month boundary and completed with the
+    /// envelope tail when the job finishes; a piece the campaign hasn't
+    /// reached yet is [`StreamPiece::Pending`]. A stream that starts
+    /// against a running job and finishes after it completes reads one
+    /// and the same piece list, so it concatenates to exactly the
+    /// unpaginated body.
     pub fn result_stream_piece(
         &self,
         tenant: &str,
@@ -702,36 +650,13 @@ impl ServiceCore {
             .get(&id)
             .filter(|j| j.tenant == tenant)
             .ok_or(ResultError::NotFound)?;
-        if let (Some(json), Some(spans)) = (&job.result_json, &job.result_spans) {
-            let elems = spans.months.len() as u64;
-            return Ok(match piece {
-                0 => StreamPiece::Data(json[..=spans.open].to_string()),
-                p if p <= elems => {
-                    let p = p as usize;
-                    // element p-1, plus its leading comma for p >= 2
-                    let start = if p == 1 {
-                        spans.months[0].0
-                    } else {
-                        spans.months[p - 2].1
-                    };
-                    StreamPiece::Data(json[start..spans.months[p - 1].1].to_string())
-                }
-                p if p == elems + 1 => StreamPiece::Data(json[spans.close..].to_string()),
-                _ => StreamPiece::End,
-            });
-        }
-        if job.status == JobStatus::Failed {
-            return Ok(StreamPiece::Gone);
-        }
-        let Some(parts) = &job.stream else {
-            return Ok(StreamPiece::Pending);
-        };
-        Ok(match piece {
-            0 => StreamPiece::Data(parts.prefix.clone()),
-            p if (p as usize) <= parts.entries.len() => {
-                StreamPiece::Data(parts.entries[p as usize - 1].clone())
-            }
-            _ => StreamPiece::Pending,
+        Ok(match job.status {
+            JobStatus::Failed => StreamPiece::Gone,
+            status => match job.result.get(piece as usize) {
+                Some(data) => StreamPiece::Data(data.clone()),
+                None if status == JobStatus::Done => StreamPiece::End,
+                None => StreamPiece::Pending,
+            },
         })
     }
 
@@ -789,42 +714,13 @@ impl ServiceCore {
             inner,
             months: months_total,
         };
-        let (kind, protocol, seed) = (checkpoint.kind, checkpoint.protocol, checkpoint.seed);
         let delay = self.cfg.month_delay;
-        let mut control = |month: u32, done: &[MonthEval]| {
+        let mut control = |month: u32, partial: &CampaignResult| {
             {
                 let mut table = self.table.lock().expect("job table lock");
                 let job = table.jobs.get_mut(&id).expect("running ids resolve");
                 job.months_done = month;
-                if !done.is_empty() {
-                    if job.stream.is_none() {
-                        // One-time per job: render the envelope prefix
-                        // from the first completed month. partial_result
-                        // routes through the same constructor as the
-                        // final result, so these bytes match the stored
-                        // result's prefix exactly.
-                        let partial =
-                            partial_result(&source, kind, protocol, seed, done[..1].to_vec())
-                                .expect("done is non-empty");
-                        let json = serde_json::to_string(&partial)
-                            .expect("campaign results always serialize");
-                        let spans = month_spans(&json).expect("results carry a months array");
-                        job.stream = Some(StreamParts {
-                            prefix: json[..=spans.open].to_string(),
-                            entries: Vec::new(),
-                        });
-                    }
-                    let parts = job.stream.as_mut().expect("set above");
-                    for (i, eval) in done.iter().enumerate().skip(parts.entries.len()) {
-                        let element =
-                            serde_json::to_string(eval).expect("month evals always serialize");
-                        parts.entries.push(if i == 0 {
-                            element
-                        } else {
-                            format!(",{element}")
-                        });
-                    }
-                }
+                publish(&mut job.result, partial);
             }
             if self.stop.load(Ordering::Relaxed) && !self.drain.load(Ordering::Relaxed) {
                 return CampaignStep::Suspend;
@@ -836,10 +732,8 @@ impl ServiceCore {
         };
         match run_campaign_checkpointed(&source, checkpoint, &mut control) {
             CampaignRun::Done(result) => {
-                let json =
-                    serde_json::to_string(&result).expect("campaign results always serialize");
                 let mut table = self.table.lock().expect("job table lock");
-                self.finish(&mut table, id, Some(json));
+                self.finish(&mut table, id, Some(&result));
                 drop(table);
                 // the job is finished; its resume file (if any) is stale
                 if let Some(path) = self.checkpoint_path(id) {
@@ -865,21 +759,21 @@ impl ServiceCore {
         }
     }
 
-    /// Mark `id` done (with its result JSON) or failed (without).
-    fn finish(&self, table: &mut JobTable, id: u64, result_json: Option<String>) {
+    /// Mark `id` done (completing its result pieces) or failed (without
+    /// a result).
+    fn finish(&self, table: &mut JobTable, id: u64, result: Option<&CampaignResult>) {
         let index = table.completions;
         table.completions += 1;
         let job = table.jobs.get_mut(&id).expect("finished ids resolve");
-        job.status = if result_json.is_some() {
-            JobStatus::Done
-        } else {
-            JobStatus::Failed
+        job.status = match result {
+            Some(result) => {
+                publish(&mut job.result, result);
+                job.result.push(result.json_envelope().1);
+                JobStatus::Done
+            }
+            None => JobStatus::Failed,
         };
         job.months_done = job.months_total + 1;
-        job.result_spans = result_json.as_deref().and_then(month_spans);
-        job.result_json = result_json;
-        // in-flight streams switch to splicing the stored bytes
-        job.stream = None;
         job.completion_index = Some(index);
         let tenant = job.tenant.clone();
         table
@@ -946,9 +840,7 @@ impl Tassd {
                         status: JobStatus::Queued,
                         months_done: file.checkpoint.months_done(),
                         checkpoint: Some(file.checkpoint),
-                        result_json: None,
-                        result_spans: None,
-                        stream: None,
+                        result: Vec::new(),
                         completion_index: None,
                     },
                 );
@@ -1157,27 +1049,6 @@ mod tests {
             Err(ResultError::NotFound)
         );
         daemon.shutdown(ShutdownMode::Drain).unwrap();
-    }
-
-    #[test]
-    fn month_span_scanner_handles_tricky_json() {
-        // nested arrays/objects and strings containing brackets, commas,
-        // and escaped quotes must not derail the element scan
-        let json = r#"{"strategy":"x","months":[{"a":[1,2],"s":"y,]\"z"},{"b":{"c":[3]}},{"d":4}],"job":{"id":1}}"#;
-        let spans = month_spans(json).unwrap();
-        assert_eq!(spans.months.len(), 3);
-        let elems: Vec<&str> = spans.months.iter().map(|&(s, e)| &json[s..e]).collect();
-        assert_eq!(elems[0], r#"{"a":[1,2],"s":"y,]\"z"}"#);
-        assert_eq!(elems[1], r#"{"b":{"c":[3]}}"#);
-        assert_eq!(elems[2], r#"{"d":4}"#);
-        assert_eq!(&json[spans.open..=spans.open], "[");
-        assert_eq!(&json[spans.close..=spans.close], "]");
-        // an empty months array has a span but no elements
-        let empty = month_spans(r#"{"months":[],"job":null}"#).unwrap();
-        assert!(empty.months.is_empty());
-        assert_eq!(empty.close, empty.open + 1);
-        // a result with no months array is not paged
-        assert!(month_spans(r#"{"strategy":"x"}"#).is_none());
     }
 
     #[test]

@@ -275,27 +275,35 @@
 //! hitlist-/prefix-seeded plans are the only strategy:
 //!
 //! ```
-//! use tass::core::campaign::run_campaign_v6;
+//! use tass::core::campaign::run_campaign_strategy;
 //! use tass::core::strategy::{V6BlockTass, V6FreshSample};
-//! use tass::model::{V6Universe, V6UniverseConfig};
+//! use tass::model::{GroundTruth, V6Universe, V6UniverseConfig};
 //!
 //! // A sparse seeded v6 universe: /48–/64 operator prefixes, responsive
 //! // hosts clustered in dense /116 blocks, monthly churn.
 //! let universe = V6Universe::generate(&V6UniverseConfig::small(42));
 //! assert!(universe.space().announced_space() > 1u128 << 64);
+//! let protocol = universe.protocols()[0];
 //!
 //! // TASS transplanted to v6: rank the hitlist's /116 blocks by density,
-//! // select phi = 0.95, re-rank from each cycle's own responses.
-//! let tass = run_campaign_v6(
+//! // select phi = 0.95, re-rank from each cycle's own responses. The
+//! // campaign driver is the v4 one, generic over the address family.
+//! let tass = run_campaign_strategy(
 //!     &universe,
 //!     &V6BlockTass { phi: 0.95, block_len: 116 },
+//!     protocol,
 //!     42,
 //! );
 //! assert!(tass.hitrate(0) > 0.95);
 //! assert!(tass.final_hitrate() > 0.9, "dense blocks persist through churn");
 //!
 //! // …while a uniform sample of 2^81 addresses finds nothing at all.
-//! let sample = run_campaign_v6(&universe, &V6FreshSample { per_cycle: 100_000 }, 42);
+//! let sample = run_campaign_strategy(
+//!     &universe,
+//!     &V6FreshSample { per_cycle: 100_000 },
+//!     protocol,
+//!     42,
+//! );
 //! assert!(sample.final_hitrate() < 1e-3);
 //! ```
 //!
@@ -350,8 +358,8 @@
 //!   stream into disjoint shards, which is how `ScanEngine::run_plan`
 //!   fans a plan out over its worker threads.
 //! * [`core::campaign::CampaignPool`] runs independent campaigns on a
-//!   thread pool and gathers results in input order; the free
-//!   [`core::campaign::run_matrix`] sizes the pool from the
+//!   thread pool and gathers results in input order;
+//!   [`core::campaign::CampaignPool::from_env`] sizes the pool from the
 //!   `CAMPAIGN_WORKERS` environment variable (default: all cores).
 //!
 //! ```

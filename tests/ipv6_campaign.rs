@@ -13,11 +13,11 @@
 //! suppression) are checked at 128-bit width.
 
 use std::sync::Arc;
-use tass::core::campaign::run_campaign_v6;
+use tass::core::campaign::run_campaign_strategy;
 use tass::core::plan::CycleOutcome;
 use tass::core::strategy::{Strategy, V6BlockTass, V6FreshSample, V6Hitlist};
 use tass::core::ProbePlan;
-use tass::model::{Protocol, V6Universe, V6UniverseConfig};
+use tass::model::{GroundTruth, Protocol, V6Universe, V6UniverseConfig};
 use tass::net::{Prefix, V6};
 use tass::scan::{Blocklist, Responder, ScanConfig, ScanEngine, SimNetwork};
 
@@ -110,8 +110,8 @@ fn v6_engine_matches_analytic_evaluation_on_perfect_network() {
         phi: 0.95,
         block_len: 116,
     };
-    // analytic campaign (run_campaign_v6) vs engine-driven at month 0
-    let analytic = run_campaign_v6(&u, &strategy, 7);
+    // analytic campaign vs engine-driven at month 0
+    let analytic = run_campaign_strategy(&u, &strategy, u.protocols()[0], 7);
     let plan = strategy.prepare(u.space(), t0, 7).plan(0);
     let report = engine_for(t0)
         .run_plan(&plan, 0, u.space().announced(), &cfg())
@@ -281,7 +281,7 @@ fn v6_campaign_digest_is_pinned() {
     ];
     let mut bytes = String::new();
     for strategy in strategies {
-        let result = run_campaign_v6(&u, strategy, 7);
+        let result = run_campaign_strategy(&u, strategy, u.protocols()[0], 7);
         bytes.push_str(&serde_json::to_string(&result).unwrap());
     }
     let digest = fnv1a(bytes.as_bytes());

@@ -250,12 +250,12 @@ fn full_scan_of_a_slash8_universe_streams_with_bounded_memory() {
 }
 
 #[test]
-fn free_run_matrix_equals_explicit_pools() {
-    // the env-sized free function must agree with every explicit pool
-    // (it can only differ in wall clock, never in bytes)
+fn env_sized_pool_equals_explicit_pools() {
+    // the `CAMPAIGN_WORKERS`-sized pool must agree with every explicit
+    // pool (it can only differ in wall clock, never in bytes)
     let u = universe();
     let kinds = [StrategyKind::FullScan, StrategyKind::IpHitlist];
-    let via_env = tass::core::run_matrix(&u, &kinds, 5);
+    let via_env = CampaignPool::from_env().run_matrix(&u, &kinds, 5);
     let serial = CampaignPool::serial().run_matrix(&u, &kinds, 5);
     assert_eq!(to_bytes(&via_env), to_bytes(&serial));
 }

@@ -11,7 +11,7 @@ use tass::bgp::ViewKind;
 use tass::core::density::rank_units;
 use tass::core::plan::ProbePlan;
 use tass::core::select::select_prefixes;
-use tass::core::strategy::{Prepared, StrategyKind};
+use tass::core::strategy::StrategyKind;
 use tass::model::{Protocol, Universe, UniverseConfig};
 use tass::scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNetwork};
 
@@ -125,13 +125,18 @@ fn full_matrix_hitrates_ordered_and_bounded() {
             },
             StrategyKind::IpHitlist,
         ];
-        let prepared: Vec<Prepared> = strategies
+        let announced = u.topology().announced_space();
+        // static strategies probe their t₀ plan every cycle
+        let plans: Vec<ProbePlan> = strategies
             .iter()
-            .map(|&k| Prepared::prepare(k, u.topology(), t0, 7))
+            .map(|&k| k.strategy().prepare(u.topology(), t0, 7).plan(0))
             .collect();
         for month in 0..=u.months() {
             let truth = u.snapshot(month, proto);
-            let evals: Vec<_> = prepared.iter().map(|p| p.evaluate(truth, month)).collect();
+            let evals: Vec<_> = plans
+                .iter()
+                .map(|p| p.evaluate(truth, month, announced))
+                .collect();
             for e in &evals {
                 assert!(e.hitrate >= 0.0 && e.hitrate <= 1.0);
                 assert!(e.found <= e.total);
@@ -142,7 +147,7 @@ fn full_matrix_hitrates_ordered_and_bounded() {
             }
         }
         // probe ordering: full > tass(l,1) > tass(m,.95) > hitlist
-        let probes: Vec<u64> = prepared.iter().map(|p| p.probes_per_cycle).collect();
+        let probes: Vec<u64> = plans.iter().map(|p| p.probe_count(announced)).collect();
         assert!(probes[0] > probes[1]);
         assert!(probes[1] > probes[2]);
         assert!(probes[2] > probes[3]);
@@ -156,21 +161,20 @@ fn headline_claim_traffic_cut_vs_coverage_loss() {
     let u = universe();
     for proto in Protocol::ALL {
         let t0 = u.snapshot(0, proto);
-        let prep = Prepared::prepare(
-            StrategyKind::Tass {
-                view: ViewKind::MoreSpecific,
-                phi: 0.95,
-            },
-            u.topology(),
-            t0,
-            7,
-        );
-        let cut = 1.0 - prep.probe_space_fraction;
+        let announced = u.topology().announced_space();
+        let plan = StrategyKind::Tass {
+            view: ViewKind::MoreSpecific,
+            phi: 0.95,
+        }
+        .strategy()
+        .prepare(u.topology(), t0, 7)
+        .plan(0);
+        let cut = 1.0 - plan.space_fraction(announced);
         assert!(
             (0.25..=0.99).contains(&cut),
             "{proto}: traffic cut {cut} outside the paper's 25-90%+ band"
         );
-        let final_eval = prep.evaluate(u.snapshot(6, proto), 6);
+        let final_eval = plan.evaluate(u.snapshot(6, proto), 6, announced);
         let miss = 1.0 - final_eval.hitrate;
         assert!(
             miss <= 0.15,
