@@ -1374,4 +1374,310 @@ mod tests {
         let hs = parse_address_list_family::<tass_net::V6>("2001:db8::1\n").unwrap();
         assert_eq!(hs.len(), 1);
     }
+
+    /// The reference line grammar: one `str::lines()` line at a time,
+    /// `#` comment cut, `trim()`, the family's `FromStr`. Returns the
+    /// sorted, deduplicated set, or the first bad line and its text.
+    fn reference_parse<F: AddrFamily>(text: &str) -> Result<Vec<F::Addr>, (usize, String)> {
+        let mut addrs = Vec::new();
+        for (i, raw) in text.lines().enumerate() {
+            let line = raw.split_once('#').map_or(raw, |(before, _)| before).trim();
+            if line.is_empty() {
+                continue;
+            }
+            match F::parse_addr(line) {
+                Some(a) => addrs.push(a),
+                None => return Err((i + 1, line.to_string())),
+            }
+        }
+        addrs.sort_unstable();
+        addrs.dedup();
+        Ok(addrs)
+    }
+
+    /// Both list readers — the one-shot text parser and the streamed
+    /// file ingester — agree with [`reference_parse`] on `text`.
+    fn assert_matches_reference<F: AddrFamily>(
+        dir: &Path,
+        text: &str,
+        workers: usize,
+        chunk_lines: usize,
+    ) {
+        let want = reference_parse::<F>(text);
+        let ctx = format!("{text:?} workers={workers} chunk_lines={chunk_lines}");
+        match (&want, parse_address_list_family::<F>(text)) {
+            (Ok(addrs), Ok(hs)) => assert_eq!(hs, HostSet::from_addrs(addrs.clone()), "{ctx}"),
+            (Err(w), Err(e)) => assert_eq!((e.line, e.text.as_str()), (w.0, w.1.as_str()), "{ctx}"),
+            (w, got) => panic!("one-shot parser: want {w:?}, got {got:?} for {ctx}"),
+        }
+        let input = dir.join("list.txt");
+        fs::write(&input, text).unwrap();
+        let out = dir.join("m0-http.snap");
+        let opts = IngestOptions {
+            workers,
+            chunk_lines,
+        };
+        let got = stream_address_list_to_snapshot::<F>(&input, &out, 0, Protocol::Http, &opts);
+        match (&want, got) {
+            (Ok(addrs), Ok(n)) => {
+                assert_eq!(n, addrs.len() as u64, "{ctx}");
+                let snap = Snapshot::<F>::decode(&fs::read(&out).unwrap()).unwrap();
+                assert_eq!(snap.hosts, HostSet::from_addrs(addrs.clone()), "{ctx}");
+            }
+            (Err(w), Err(CorpusError::AddressListFile { path, source })) => {
+                assert_eq!(path, input, "{ctx}");
+                assert_eq!(
+                    (source.line, source.text.as_str()),
+                    (w.0, w.1.as_str()),
+                    "{ctx}"
+                );
+            }
+            (w, got) => panic!("streamed ingest: want {w:?}, got {got:?} for {ctx}"),
+        }
+    }
+
+    /// One hostile IPv4 list line from a generated `(kind, addr, pick)`:
+    /// kinds below 232 parse (or are skipped) under the reference
+    /// grammar, the rest are bad lines of every shape the grammar must
+    /// reject.
+    fn hostile_v4_line(kind: u8, addr: u32, pick: u64) -> String {
+        let a = std::net::Ipv4Addr::from(addr).to_string();
+        let o = addr.to_be_bytes();
+        let spaces = ["\t", " ", "\x0B", "\u{A0}", "\u{2003}", "\x0C", " \t "];
+        let sp = spaces[(pick % spaces.len() as u64) as usize];
+        let sp2 = spaces[((pick >> 8) % spaces.len() as u64) as usize];
+        match kind {
+            0..=119 => a,
+            120..=139 => format!("{sp}{a}{sp2}"),
+            140..=149 => format!("{a}#{pick:x}"),
+            150..=159 => format!("{a}{sp}# 01.2.3.4 {sp2}"),
+            160..=169 => format!("# {a} whole-line comment"),
+            170..=179 => String::new(),
+            180..=189 => sp.to_string(),
+            190..=199 => ["0.0.0.0", "255.255.255.255", "0.10.0.9", "10.0.0.0"]
+                [(pick % 4) as usize]
+                .to_string(),
+            200..=209 => format!("{a}\r"),
+            210..=219 => format!("{sp}#"),
+            220..=231 => format!("{}.{}.{}.{}", o[0], o[1], o[2], o[3]),
+            // bad lines
+            232 => format!("0{a}"),
+            233 => format!("{}.0{}.{}.{}", o[0], o[1], o[2], o[3]),
+            234 => format!("{}.{}.{}.{}", o[0], o[1], o[2], 256 + (pick % 744)),
+            235 => format!("+{a}"),
+            236 => format!("{}.{}.{}", o[0], o[1], o[2]),
+            237 => format!("{a}.{}", o[3]),
+            238 => std::net::Ipv6Addr::from(u128::from(addr) << 64 | 1).to_string(),
+            239 => format!("{a}."),
+            240 => format!(".{a}"),
+            241 => format!("{}..{}.{}", o[0], o[1], o[2]),
+            242 => format!("{}{:03}.{}.{}.{}", pick % 10, o[0], o[1], o[2], o[3]),
+            243 => format!("{a}x"),
+            244 => format!("{} .{}.{}.{}", o[0], o[1], o[2], o[3]),
+            245 => format!("{a}\r{a}"),
+            246 => "\u{661}.2.3.4".to_string(),
+            247 => format!("{}.{}.{}.-{}", o[0], o[1], o[2], o[3]),
+            248 => "00.1.2.3".to_string(),
+            249 => format!("{a}{sp}{a}"),
+            250 => "1.2.3.4/24".to_string(),
+            251 => format!("::ffff:{a}"),
+            252 => format!("{}.{}.{}.{}", o[0], o[1], o[2], 1000 + pick % 9000),
+            253 => "0x1.2.3.4".to_string(),
+            254 => "1.2.3.04".to_string(),
+            _ => "not-an-address".to_string(),
+        }
+    }
+
+    /// One hostile IPv6 list line, in the same shape as
+    /// [`hostile_v4_line`].
+    fn hostile_v6_line(kind: u8, addr: u128, pick: u64) -> String {
+        let a = std::net::Ipv6Addr::from(addr).to_string();
+        let spaces = ["\t", " ", "\x0B", "\u{A0}", "\u{2003}", "\x0C"];
+        let sp = spaces[(pick % spaces.len() as u64) as usize];
+        match kind {
+            0..=119 => a,
+            120..=139 => format!("{sp}{a}{sp}"),
+            140..=159 => format!("{a} # {pick:x}"),
+            160..=179 => format!("# {a}"),
+            180..=189 => String::new(),
+            190..=199 => format!("{a}\r"),
+            200..=209 => format!("::ffff:{}", std::net::Ipv4Addr::from(addr as u32)),
+            210..=231 => std::net::Ipv6Addr::from(addr & 0xFFFF_FFFF).to_string(),
+            // bad lines
+            232..=235 => std::net::Ipv4Addr::from(addr as u32).to_string(),
+            236..=239 => format!("{a}::"),
+            240..=243 => format!(":{a}"),
+            244..=247 => format!("{a}%eth0"),
+            248..=251 => format!("{a}g"),
+            _ => "2001:db8:::1".to_string(),
+        }
+    }
+
+    /// Join generated lines with `\n` or `\r\n`, and end the text with a
+    /// newline, without one, or with a bare `\r`.
+    fn join_hostile_lines(lines: &[String], ends: u64) -> String {
+        let mut text = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            text.push_str(line);
+            if i + 1 < lines.len() {
+                text.push_str(if (ends >> (i % 61)) & 1 == 1 {
+                    "\r\n"
+                } else {
+                    "\n"
+                });
+            }
+        }
+        if !lines.is_empty() {
+            text.push_str(["\n", "", "\r", "\r\n"][(ends >> 62) as usize]);
+        }
+        text
+    }
+
+    #[test]
+    fn list_grammar_matches_the_reference_on_fixed_edge_cases() {
+        let dir = tmp("grammar-fixed");
+        fs::create_dir_all(&dir).unwrap();
+        let v4 = [
+            "",
+            "\n",
+            "\r",
+            "\r\n",
+            "1.2.3.4",
+            "1.2.3.4\r",
+            "1.2.3.4\r\r\n",
+            "1.2.3.4\n\n",
+            "01.2.3.4\n",
+            "1.2.3.256\n",
+            "+1.2.3.4\n",
+            "1.2.3\n",
+            "1.2.3.4.5\n",
+            "\t1.2.3.4\x0B\n",
+            "\u{A0}1.2.3.4\u{2003}\n",
+            "1.2.3.4#x\n1.2.3.4 # y\n",
+            "2001:db8::1\n",
+            "1.2.3.4\n2001:db8::1",
+            "255.255.255.255\n0.0.0.0\n",
+            "1.2.3.4\n\r\n5.6.7.8\r\n",
+        ];
+        let v6 = [
+            "",
+            "\r",
+            "2001:db8::1\r",
+            "::1\n::\n",
+            "\t::1 # x\r\n",
+            "1.2.3.4\n",
+        ];
+        for (workers, chunk_lines) in [(1, 1), (2, 1), (3, 2), (4, 39)] {
+            for text in v4 {
+                assert_matches_reference::<V4>(&dir, text, workers, chunk_lines);
+            }
+            for text in v6 {
+                assert_matches_reference::<V6>(&dir, text, workers, chunk_lines);
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        /// Every list reader accepts exactly the reference grammar on
+        /// hostile IPv4 lists (leading zeros, octets past 255, signs,
+        /// three or five octets, Unicode and ASCII whitespace, inline
+        /// comments, `\r\n` and bare `\r` ends, v6 literals), at any
+        /// chunk size and worker count: the same host set, or the same
+        /// first bad line and text.
+        #[test]
+        fn v4_list_grammar_matches_the_reference(
+            spec in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u32>(), proptest::prelude::any::<u64>()),
+                0..60,
+            ),
+            clean in proptest::prelude::any::<bool>(),
+            ends in proptest::prelude::any::<u64>(),
+            workers in 1usize..5,
+            chunk_lines in 1usize..40,
+        ) {
+            let lines: Vec<String> = spec
+                .iter()
+                .map(|&(kind, addr, pick)| {
+                    // half the cases hold no bad line at all
+                    let kind = if clean && kind >= 232 { kind % 232 } else { kind };
+                    hostile_v4_line(kind, addr, pick)
+                })
+                .collect();
+            let text = join_hostile_lines(&lines, ends);
+            let dir = tmp(&format!("grammar-v4-{workers}-{chunk_lines}-{ends:x}"));
+            fs::create_dir_all(&dir).unwrap();
+            assert_matches_reference::<V4>(&dir, &text, workers, chunk_lines);
+            let _ = fs::remove_dir_all(&dir);
+        }
+
+        /// [`v4_list_grammar_matches_the_reference`] for IPv6 lists.
+        #[test]
+        fn v6_list_grammar_matches_the_reference(
+            spec in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u128>(), proptest::prelude::any::<u64>()),
+                0..40,
+            ),
+            clean in proptest::prelude::any::<bool>(),
+            ends in proptest::prelude::any::<u64>(),
+            workers in 1usize..5,
+            chunk_lines in 1usize..40,
+        ) {
+            let lines: Vec<String> = spec
+                .iter()
+                .map(|&(kind, addr, pick)| {
+                    let kind = if clean && kind >= 232 { kind % 232 } else { kind };
+                    hostile_v6_line(kind, addr, pick)
+                })
+                .collect();
+            let text = join_hostile_lines(&lines, ends);
+            let dir = tmp(&format!("grammar-v6-{workers}-{chunk_lines}-{ends:x}"));
+            fs::create_dir_all(&dir).unwrap();
+            assert_matches_reference::<V6>(&dir, &text, workers, chunk_lines);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn streamed_ingestion_of_invalid_utf8_is_an_io_error_naming_the_input() {
+        let dir = tmp("stream-utf8");
+        fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("list.txt");
+        let out = dir.join("m0-http.snap");
+        let mut good = Vec::new();
+        for i in 0..30 {
+            good.extend_from_slice(format!("10.0.1.{i}\n").as_bytes());
+        }
+        let bad_utf8: &[u8] = b"10.9.9.9 # caf\xE9\n";
+        let bad_line: &[u8] = b"bogus\n";
+        let lists = [
+            // the bad byte before a bad address line, and after it
+            [&good[..27], bad_utf8, &good[27..90], bad_line, &good[90..]].concat(),
+            [&good[..27], bad_line, &good[27..90], bad_utf8, &good[90..]].concat(),
+            // a lone bad byte as the last line, without a newline
+            [&good[..], b"\xFF"].concat(),
+        ];
+        for list in lists {
+            fs::write(&input, &list).unwrap();
+            // the error std's UTF-8 readers give for the same bytes
+            let want = fs::read_to_string(&input).unwrap_err();
+            assert_eq!(want.kind(), std::io::ErrorKind::InvalidData);
+            for (workers, chunk_lines) in [(1, 1), (2, 2), (4, 5), (3, 1024)] {
+                let opts = IngestOptions {
+                    workers,
+                    chunk_lines,
+                };
+                match stream_address_list_to_snapshot::<V4>(&input, &out, 0, Protocol::Http, &opts)
+                {
+                    Err(CorpusError::Io { path, message }) => {
+                        assert_eq!(path, input);
+                        assert_eq!(message, want.to_string());
+                    }
+                    other => panic!("expected an Io error, got {other:?}"),
+                }
+                assert!(!out.exists(), "no snapshot written");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
