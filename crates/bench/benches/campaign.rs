@@ -8,11 +8,8 @@
 //! allocated per cycle on a serial run (a counting global allocator —
 //! the copy-free feedback claim is an allocation claim, so it is
 //! measured, not asserted). Results go to `BENCH_campaign.json` at the
-//! repo root next to the pinned *before* numbers (the PR-7 cycle loop:
-//! `ProbePlan::observed` cloning the full truth host set per `All`
-//! cycle and sort+deduping a fresh `Vec` per `Prefixes` cycle, plus a
-//! full `sort_unstable` of every density ranking even when only a
-//! budget-sized top-k is consumed).
+//! repo root. No baseline is pinned: a comparison is only meaningful
+//! against the parent revision built and run on the same machine.
 //!
 //! Runs fast enough for CI (set `CAMPAIGN_BENCH_QUICK=1` to shrink the
 //! rep count); throughput varies with the machine, but the sweep
@@ -52,23 +49,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Pinned pre-refactor numbers measured on the same 1-core CI-class
-/// container, keyed by (strategy, workers): cycles/s through
-/// `run_matrix` and allocated bytes per cycle on the serial run. The
-/// "before" cycle loop materialised a fresh sorted `HostSet` per
-/// feedback cycle and fully re-sorted every density ranking.
-const BEFORE: &[(&str, usize, f64, u64)] = &[
-    ("tass", 1, 41_620.0, 11_282),
-    ("tass", 2, 37_596.0, 11_459),
-    ("tass", 4, 35_118.0, 11_471),
-    ("reseeding_tass", 1, 10_807.0, 104_711),
-    ("reseeding_tass", 2, 10_051.0, 104_888),
-    ("reseeding_tass", 4, 9_891.0, 104_900),
-    ("adaptive_tass", 1, 5_350.0, 159_764),
-    ("adaptive_tass", 2, 5_175.0, 159_941),
-    ("adaptive_tass", 4, 4_596.0, 159_953),
-];
 
 /// The feedback-strategy sweep: every strategy whose cycle loop reads
 /// the ranking or the per-cycle responsive set.
@@ -151,20 +131,9 @@ fn main() {
         for workers in [1usize, 2, 4] {
             let (cps, bytes_per_cycle, cycles) = measure(&s.universe, kind, workers, reps);
             total_cycles = total_cycles.max(cycles);
-            let (before_cps, before_bytes) = BEFORE
-                .iter()
-                .find(|(n, w, _, _)| *n == name && *w == workers)
-                .map(|(_, _, c, b)| (*c, *b))
-                .unwrap_or((0.0, 0));
-            let speedup = if before_cps > 0.0 {
-                cps / before_cps
-            } else {
-                0.0
-            };
             eprintln!(
-                "campaign {name:>15} x{workers}: {cps:7.0} cycles/s \
-                 (before {before_cps:7.0}, {speedup:.2}x), \
-                 {bytes_per_cycle} B/cycle (before {before_bytes})",
+                "campaign {name:>15} x{workers}: {cps:7.0} cycles/s, \
+                 {bytes_per_cycle} B/cycle",
             );
             if !rows.is_empty() {
                 rows.push(',');
@@ -172,10 +141,9 @@ fn main() {
             rows.push_str(&format!(
                 concat!(
                     "\n  {{\"strategy\":\"{}\",\"workers\":{},",
-                    "\"before_cps\":{:.0},\"after_cps\":{:.0},\"speedup\":{:.2},",
-                    "\"before_alloc_bytes_per_cycle\":{},\"after_alloc_bytes_per_cycle\":{}}}"
+                    "\"cps\":{:.0},\"alloc_bytes_per_cycle\":{}}}"
                 ),
-                name, workers, before_cps, cps, speedup, before_bytes, bytes_per_cycle
+                name, workers, cps, bytes_per_cycle
             ));
         }
     }
@@ -184,12 +152,7 @@ fn main() {
     let record = format!(
         concat!(
             "{{\"bench\":\"campaign\",\"matrix_cycles\":{},\"reps\":{},",
-            "\"peak_live_heap_bytes\":{},",
-            "\"note\":\"before = PR-7 cycle loop (ProbePlan::observed clones the ",
-            "full truth host set per All cycle, sort+dedups a fresh Vec per ",
-            "Prefixes cycle; every density ranking fully re-sorted); ",
-            "after = Arc-shared snapshot unit-count index, copy-free ",
-            "HostSetView feedback, DensityRank::top_k\",\"sweep\":[{}\n]}}\n"
+            "\"peak_live_heap_bytes\":{},\"sweep\":[{}\n]}}\n"
         ),
         total_cycles, reps, peak, rows
     );

@@ -4,10 +4,9 @@
 //! /18 (16 384 addresses, every 4th responsive) at 1/2/4/8 worker
 //! threads, on a perfect and on a lossy+duplicating network, for both
 //! probe paths. The sweep is written to `BENCH_engine.json` at the repo
-//! root next to the pinned *before* numbers (the PR-6 engine: shared
-//! `Mutex<SmallRng>` fault draws, mutex-guarded `NetStats`, a fresh
-//! heap-allocated frame per wire probe) so the perf trajectory keeps
-//! regressions visible, ARCH-EXP-014 style.
+//! root. No baseline is pinned: a comparison is only meaningful against
+//! the parent revision built and run on the same machine (perfbench's
+//! `probe-logical` and `probe-wire` workloads).
 //!
 //! Runs fast enough for CI (set `ENGINE_BENCH_QUICK=1` to shrink the
 //! rep count further); throughput numbers vary with the machine, but the
@@ -23,30 +22,6 @@ use tass_scan::{Blocklist, FaultConfig, Responder, ScanConfig, ScanEngine, SimNe
 
 /// Probes per run: a /18.
 const TARGETS: u64 = 16 * 1024;
-
-/// Pinned pre-refactor throughput (probes/sec) measured on the same
-/// 1-core CI-class container, keyed by (path, faults, threads). The
-/// "before" engine took the shared RNG and stats mutexes 2–4 times per
-/// probe and allocated a fresh frame (plus a `Vec<Bytes>` of replies)
-/// per wire probe.
-const BEFORE: &[(&str, &str, usize, f64)] = &[
-    ("logical", "perfect", 1, 10_450_000.0),
-    ("logical", "perfect", 2, 10_250_000.0),
-    ("logical", "perfect", 4, 9_970_000.0),
-    ("logical", "perfect", 8, 9_860_000.0),
-    ("logical", "lossy", 1, 7_560_000.0),
-    ("logical", "lossy", 2, 7_390_000.0),
-    ("logical", "lossy", 4, 5_660_000.0),
-    ("logical", "lossy", 8, 6_170_000.0),
-    ("wire", "perfect", 1, 2_320_000.0),
-    ("wire", "perfect", 2, 2_110_000.0),
-    ("wire", "perfect", 4, 1_610_000.0),
-    ("wire", "perfect", 8, 1_320_000.0),
-    ("wire", "lossy", 1, 1_600_000.0),
-    ("wire", "lossy", 2, 1_560_000.0),
-    ("wire", "lossy", 4, 1_650_000.0),
-    ("wire", "lossy", 8, 1_960_000.0),
-];
 
 fn network(faults: FaultConfig) -> Arc<SimNetwork> {
     let hosts: Vec<u32> = (0..TARGETS as u32)
@@ -96,17 +71,9 @@ fn main() {
         for (path, wire_level) in [("logical", false), ("wire", true)] {
             for threads in [1usize, 2, 4, 8] {
                 let pps = measure(&engine, wire_level, threads, reps);
-                let before = BEFORE
-                    .iter()
-                    .find(|(p, f, t, _)| *p == path && *f == faults_name && *t == threads)
-                    .map(|(_, _, _, v)| *v)
-                    .unwrap_or(0.0);
-                let speedup = if before > 0.0 { pps / before } else { 0.0 };
                 eprintln!(
-                    "engine {path:>7} {faults_name:>7} x{threads}: \
-                     {:.2} Mpps (before {:.2} Mpps, {speedup:.2}x)",
-                    pps / 1e6,
-                    before / 1e6,
+                    "engine {path:>7} {faults_name:>7} x{threads}: {:.2} Mpps",
+                    pps / 1e6
                 );
                 if !rows.is_empty() {
                     rows.push(',');
@@ -114,9 +81,9 @@ fn main() {
                 rows.push_str(&format!(
                     concat!(
                         "\n  {{\"path\":\"{}\",\"faults\":\"{}\",\"threads\":{},",
-                        "\"before_pps\":{:.0},\"after_pps\":{:.0},\"speedup\":{:.2}}}"
+                        "\"pps\":{:.0}}}"
                     ),
-                    path, faults_name, threads, before, pps, speedup
+                    path, faults_name, threads, pps
                 ));
             }
         }
@@ -125,18 +92,6 @@ fn main() {
     let record = format!(
         concat!(
             "{{\"bench\":\"engine\",\"targets_per_run\":{},\"reps\":{},",
-            "\"note\":\"before = PR-6 engine (shared Mutex<SmallRng> fault draws, ",
-            "mutex-guarded NetStats, per-probe frame allocation); ",
-            "after = deterministic SipHash faults, atomic stats, reusable ",
-            "SynTemplate frames, and batched response drain, the engine's one ",
-            "wire schedule (a 10-pair probe-wire A/B against per-probe ",
-            "send+validate found no difference beyond noise); before pins ",
-            "come from another machine and are no A/B. The logical rows' shortfall ",
-            "against the pins was a real regression, not a slower machine: a ",
-            "per-step HostSet representation match, a second search of the ",
-            "same set for dead addresses, and u128 modular arithmetic in the ",
-            "cyclic walk, all since removed; the same-machine A/B is the ",
-            "probe-logical workload of perfbench\",",
             "\"sweep\":[{}\n]}}\n"
         ),
         TARGETS, reps, rows

@@ -11,9 +11,9 @@
 //!   status under load, plus a row where slowloris-style connections
 //!   drip bytes alongside the pollers. Each row records submissions/s,
 //!   completion throughput, and p50/p99 status-poll latency to
-//!   `BENCH_service.json` at the repo root, after a pinned row holding
-//!   the thread-per-connection baseline this sweep replaced — the
-//!   perf-trajectory file CI and future PRs compare against.
+//!   `BENCH_service.json` at the repo root. No baseline is pinned: a
+//!   comparison is only meaningful against the parent revision built
+//!   and run on the same machine.
 //!
 //! `SERVICE_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
 
@@ -30,16 +30,6 @@ use tass_model::{Universe, UniverseConfig};
 use tass_service::{
     api, HttpClient, HttpServer, HttpdConfig, ServiceConfig, ShutdownMode, Tassd, TenantQuota,
 };
-
-/// The measured row the thread-per-connection server last recorded
-/// (PR 8, 8 clients × 4 campaigns) — pinned so the trajectory file
-/// always carries the before/after comparison.
-const PINNED_BEFORE: &str = concat!(
-    "{\"bench\":\"service_load\",\"row\":\"threaded-baseline\",",
-    "\"clients\":8,\"campaigns_per_client\":4,\"slow_clients\":0,",
-    "\"submissions_per_sec\":117.1,\"completions_per_sec\":421.1,",
-    "\"poll_p50_ms\":0.063,\"poll_p99_ms\":2.080,\"polls\":1883,\"wall_secs\":0.076}"
-);
 
 fn quick() -> bool {
     std::env::var_os("SERVICE_BENCH_QUICK").is_some()
@@ -305,15 +295,15 @@ fn sweep_row(
     }
 }
 
-/// The sweep: run every row, then write the pinned baseline plus one
-/// line per row to `BENCH_service.json`.
+/// The sweep: run every row, then write one line per row to
+/// `BENCH_service.json`.
 fn connection_sweep() {
     let (counts, polls): (&[usize], usize) = if quick() {
         (&[16, 64], 10)
     } else {
         (&[16, 64, 256, 1024], 50)
     };
-    let mut lines = vec![PINNED_BEFORE.to_string()];
+    let mut lines = Vec::new();
     for &clients in counts {
         // a roughly constant total campaign load across rows, so rows
         // differ in connection count, not campaign work

@@ -3,8 +3,7 @@
 //! Three questions are measured:
 //!
 //! * **encode throughput** — building checksummed TCP-SYN frames
-//!   (54-byte Ethernet/IPv4/TCP vs 74-byte Ethernet/IPv6/TCP, plus the
-//!   62-byte ICMPv6 echo);
+//!   (54-byte Ethernet/IPv4/TCP vs 74-byte Ethernet/IPv6/TCP);
 //! * **parse throughput** — full validation of a frame (ethertype,
 //!   header structure, header checksum for v4, pseudo-header TCP
 //!   checksum for both);
@@ -39,18 +38,6 @@ fn bench_encode(c: &mut Criterion) {
             wire::build_syn_v6((0x2001_0db8u128 << 96) | 1, black_box(dst), 40000, 443, 7)
         })
     });
-    group.bench_function("v6_icmp_echo_62B", |b| {
-        let mut seq = 0u16;
-        b.iter(|| {
-            seq = seq.wrapping_add(1);
-            wire::build_echo6(
-                (0x2001_0db8u128 << 96) | 1,
-                0x2600u128 << 112,
-                7,
-                black_box(seq),
-            )
-        })
-    });
     group.finish();
 }
 
@@ -64,10 +51,6 @@ fn bench_parse(c: &mut Criterion) {
     let v6 = wire::build_syn_v6(1, 2, 3, 4, 5);
     group.bench_function("v6_validate", |b| {
         b.iter(|| wire::parse_frame_v6(black_box(&v6)).expect("valid frame"))
-    });
-    let echo = wire::build_echo6(1, 2, 3, 4);
-    group.bench_function("v6_icmp_echo_validate", |b| {
-        b.iter(|| wire::parse_echo6(black_box(&echo)).expect("valid echo"))
     });
     group.finish();
 }

@@ -1,5 +1,10 @@
 //! JSON front-end for the workspace's offline serde stand-in: render a
 //! [`serde::Value`] tree to JSON text and parse it back.
+//!
+//! The parser reads untrusted bytes (request bodies, job files at
+//! restart) and recurses once per nested array or object, so nesting is
+//! capped at 128 levels, as upstream `serde_json` does: deeper input is
+//! an [`Error`], never a stack overflow.
 
 #![forbid(unsafe_code)]
 
@@ -30,11 +35,15 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
+/// The deepest array/object nesting [`from_str`] accepts.
+const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -107,6 +116,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -152,54 +163,73 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
+        }
+    }
+
+    /// Run a container parser one nesting level down, refusing to go
+    /// past `MAX_DEPTH`.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<Value, Error> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Value::Seq(items));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => return Err(Error(format!("bad array at byte {}", self.pos))),
-                    }
-                }
+                _ => return Err(Error(format!("bad array at byte {}", self.pos))),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, Error> {
+        self.eat(b'{')?;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            entries.push((key, self.value()?));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Value::Map(entries));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    entries.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => return Err(Error(format!("bad object at byte {}", self.pos))),
-                    }
-                }
+                _ => return Err(Error(format!("bad object at byte {}", self.pos))),
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
     }
 
@@ -328,5 +358,37 @@ mod tests {
         assert!(from_str::<u32>("nope").is_err());
         assert!(from_str::<u32>("1 2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    fn deep_array(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    fn deep_object(depth: usize) -> String {
+        "{\"k\":".repeat(depth) + "null" + &"}".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        assert_eq!(MAX_DEPTH, 128);
+        for text in [deep_array(MAX_DEPTH), deep_object(MAX_DEPTH)] {
+            assert!(from_str::<Value>(&text).is_ok());
+        }
+        // depth is per path, not per container: many siblings at depth 1
+        let wide = format!("[{}]", vec![deep_array(MAX_DEPTH - 1); 300].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for depth in [MAX_DEPTH + 1, 200_000] {
+            for text in [deep_array(depth), deep_object(depth)] {
+                let err = from_str::<Value>(&text).unwrap_err();
+                assert!(err.0.contains("nesting deeper than 128"), "{err}");
+            }
+            // unclosed openers alone, as a hostile body would send them
+            let err = from_str::<Value>(&"[".repeat(depth)).unwrap_err();
+            assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        }
     }
 }

@@ -289,7 +289,7 @@ impl Strategy for Tass {
     }
 
     fn prepare(&self, topo: &Topology, t0: &Snapshot, _seed: u64) -> Box<dyn PreparedStrategy> {
-        // count through the snapshot's memoised index, rank top-k only
+        // one bulk sweep over the snapshot's hosts, rank top-k only
         let counts = DensityCounts::units(view_of(topo, self.view), t0);
         let sel = select_prefixes_budgeted(counts, self.phi, 0);
         Box::new(StaticPrepared::new(
@@ -695,10 +695,9 @@ impl Strategy<V6> for V6BlockTass {
         _seed: u64,
     ) -> Box<dyn PreparedStrategy<V6>> {
         let blocks = blocks_of(t0.hosts.iter(), self.block_len);
-        let counts: Vec<u64> = blocks
-            .iter()
-            .map(|b| t0.count_in_prefix(*b) as u64)
-            .collect();
+        let mut counts = Vec::with_capacity(blocks.len());
+        t0.hosts
+            .count_prefixes_into(&mut blocks.iter().copied(), &mut counts);
         let mut prepared = V6BlockPrepared {
             phi: self.phi,
             block_len: self.block_len,

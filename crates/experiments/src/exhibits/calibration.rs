@@ -67,7 +67,7 @@ pub fn run(s: &Scenario) -> ExhibitOutput {
         "Calibration: synthetic topology vs the paper's dataset\n\n{}\n\
          Host populations (model scale; the paper's absolute counts are \
          ~20-50x larger,\nall evaluation quantities are ratios and scale \
-         out — see EXPERIMENTS.md):\n\n{}",
+         out — see the tass-model population docs):\n\n{}",
         t.render(),
         hosts.render()
     );

@@ -5,7 +5,7 @@
 //! The paper's central cost table: how much of the announced space must be
 //! scanned to keep a fraction φ of the hosts. The measured values are
 //! printed side by side with the paper's, and the per-cell numbers are
-//! also emitted as CSV for EXPERIMENTS.md.
+//! also emitted as CSV (`repro` writes it under `results/` by default).
 
 use crate::table::{f3, TextTable};
 use crate::{ExhibitOutput, Scenario};

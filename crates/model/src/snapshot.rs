@@ -15,17 +15,13 @@
 //! proportional to what a cycle *produces*, not to the size of the
 //! universe. Two pieces enforce that:
 //!
-//! * **The prefix-count index.** [`Snapshot::count_in_prefix`] memoises
-//!   per-prefix host counts in a lazily built, lock-guarded index that
-//!   lives inside the snapshot — and snapshots are shared as
-//!   [`Arc<Snapshot>`] by the `GroundTruth` sources — so scattered
-//!   point queries are paid for once per snapshot. The rankings
-//!   themselves take the bulk path instead:
-//!   [`PrefixCount::count_prefixes_into`] sweeps an ascending prefix
-//!   sequence (sorted view units, sorted plan prefixes) over the sorted
-//!   host list with a galloping cursor — O(Σ log gapᵢ) total, no
-//!   hashing, no lock. [`PrefixCount`] is the trait rankings are
-//!   generic over; a bare [`HostSet`] answers by binary search.
+//! * **One bulk counting path.** Every ranking counts through
+//!   [`PrefixCount::count_prefixes_into`], which sweeps an ascending
+//!   prefix sequence (sorted view units, sorted plan prefixes) over the
+//!   sorted host list with a galloping cursor — O(Σ log gapᵢ) total, no
+//!   hashing, no lock, and nothing cached inside the shared
+//!   [`Arc<Snapshot>`]. [`PrefixCount`] is the trait rankings are
+//!   generic over; a single point query is one binary search.
 //! * **Copy-free feedback.** A [`HostSetView`] is an `Arc<Snapshot>`
 //!   plus sorted disjoint index ranges into its host list: the per-cycle
 //!   "responsive set" of a simulated scan without cloning, sorting, or
@@ -47,16 +43,15 @@
 
 use crate::protocol::Protocol;
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use tass_net::{AddrFamily, Prefix, V4};
 
 /// Anything that can report how many of its member hosts a prefix
 /// covers. Density rankings are generic over this, so they can run
-/// against an owned [`HostSet`] (binary search), a shared
-/// [`Snapshot`] (memoised index), or a per-cycle [`HostSetView`]
-/// (range arithmetic) without materialising anything.
+/// against an owned [`HostSet`] or a shared [`Snapshot`] (binary
+/// search), or a per-cycle [`HostSetView`] (range arithmetic) without
+/// materialising anything.
 pub trait PrefixCount<F: AddrFamily = V4> {
     /// Count member hosts covered by `p`.
     fn count_in_prefix(&self, p: Prefix<F>) -> usize;
@@ -518,13 +513,7 @@ impl<F: AddrFamily> PrefixCount<F> for HostSet<F> {
 }
 
 /// One protocol's ground truth for one month, generic over the family.
-///
-/// Carries a lazily built per-prefix host-count index so that repeated
-/// rankings against the same snapshot (every strategy × repetition ×
-/// worker of a matrix sweep shares the same `Arc<Snapshot>`) cost O(k)
-/// lookups instead of O(k log n) binary searches. The index assumes the
-/// snapshot is immutable once queried; mutating `hosts` through the
-/// public field after the first `count_in_prefix` call is a logic error.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Snapshot<F: AddrFamily = V4> {
     /// The protocol scanned.
     pub protocol: Protocol,
@@ -532,8 +521,6 @@ pub struct Snapshot<F: AddrFamily = V4> {
     pub month: u32,
     /// The responsive hosts.
     pub hosts: HostSet<F>,
-    /// Memoised per-prefix host counts (the unit-count index).
-    prefix_counts: RwLock<HashMap<Prefix<F>, u64>>,
 }
 
 impl<F: AddrFamily> Snapshot<F> {
@@ -543,7 +530,6 @@ impl<F: AddrFamily> Snapshot<F> {
             protocol,
             month,
             hosts,
-            prefix_counts: RwLock::new(HashMap::new()),
         }
     }
 
@@ -558,124 +544,18 @@ impl<F: AddrFamily> Snapshot<F> {
     }
 
     /// Bytes of memory this snapshot keeps resident (the host storage —
-    /// owned `Vec` or shared file buffer; the lazily built prefix-count
-    /// memo is not charged). This is what a byte-budgeted month cache
-    /// accounts evictions in.
+    /// owned `Vec` or shared file buffer). This is what a byte-budgeted
+    /// month cache accounts evictions in.
     pub fn resident_bytes(&self) -> usize {
         self.hosts.resident_bytes()
-    }
-
-    /// Count responsive hosts covered by a prefix, memoised: the first
-    /// query per prefix pays the binary search, every later one — from
-    /// any strategy, repetition, or worker sharing this snapshot — is a
-    /// hash lookup.
-    pub fn count_in_prefix(&self, p: Prefix<F>) -> usize {
-        if let Some(&c) = self
-            .prefix_counts
-            .read()
-            .expect("prefix-count index poisoned")
-            .get(&p)
-        {
-            return c as usize;
-        }
-        let c = self.hosts.count_in_prefix(p);
-        self.prefix_counts
-            .write()
-            .expect("prefix-count index poisoned")
-            .insert(p, c as u64);
-        c
-    }
-
-    /// Bulk variant of [`Snapshot::count_in_prefix`]: one read pass over
-    /// the index for the whole prefix list, then a single write pass
-    /// filling whatever was missing — so a full ranking takes two lock
-    /// acquisitions, not two per unit.
-    pub fn prefix_counts(&self, prefixes: &[Prefix<F>]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(prefixes.len());
-        let mut missing: Vec<(usize, Prefix<F>)> = Vec::new();
-        {
-            let index = self
-                .prefix_counts
-                .read()
-                .expect("prefix-count index poisoned");
-            for (i, &p) in prefixes.iter().enumerate() {
-                match index.get(&p) {
-                    Some(&c) => out.push(c),
-                    None => {
-                        missing.push((i, p));
-                        out.push(0);
-                    }
-                }
-            }
-        }
-        if !missing.is_empty() {
-            let mut index = self
-                .prefix_counts
-                .write()
-                .expect("prefix-count index poisoned");
-            for (i, p) in missing {
-                let c = self.hosts.count_in_prefix(p) as u64;
-                index.insert(p, c);
-                out[i] = c;
-            }
-        }
-        out
-    }
-}
-
-// Manual impls: the index is a cache keyed entirely by `hosts`, so it
-// takes no part in equality, cloning carries the already-warm entries
-// over, and `Debug` reports only its size.
-impl<F: AddrFamily> Clone for Snapshot<F> {
-    fn clone(&self) -> Self {
-        Snapshot {
-            protocol: self.protocol,
-            month: self.month,
-            hosts: self.hosts.clone(),
-            prefix_counts: RwLock::new(
-                self.prefix_counts
-                    .read()
-                    .expect("prefix-count index poisoned")
-                    .clone(),
-            ),
-        }
-    }
-}
-
-impl<F: AddrFamily> PartialEq for Snapshot<F> {
-    fn eq(&self, other: &Self) -> bool {
-        self.protocol == other.protocol && self.month == other.month && self.hosts == other.hosts
-    }
-}
-
-impl<F: AddrFamily> Eq for Snapshot<F> {}
-
-impl<F: AddrFamily> fmt::Debug for Snapshot<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("protocol", &self.protocol)
-            .field("month", &self.month)
-            .field("hosts", &self.hosts)
-            .field(
-                "indexed_prefixes",
-                &self
-                    .prefix_counts
-                    .read()
-                    .expect("prefix-count index poisoned")
-                    .len(),
-            )
-            .finish()
     }
 }
 
 impl<F: AddrFamily> PrefixCount<F> for Snapshot<F> {
     fn count_in_prefix(&self, p: Prefix<F>) -> usize {
-        Snapshot::count_in_prefix(self, p)
+        self.hosts.count_in_prefix(p)
     }
 
-    // Bulk counting bypasses the memo: a monotone sweep over the sorted
-    // host array is cheaper than one hash probe per prefix, needs no
-    // lock, and computes the identical counts.
     fn count_prefixes_into(
         &self,
         prefixes: &mut dyn Iterator<Item = Prefix<F>>,
@@ -807,14 +687,6 @@ impl<F: AddrFamily> HostSetView<F> {
         self.len() == 0
     }
 
-    /// Does the view cover the whole underlying snapshot?
-    fn is_full_snapshot(&self) -> bool {
-        match &self.repr {
-            Repr::Ranges { snap, len, .. } => *len == snap.hosts.len(),
-            Repr::Owned(_) => false,
-        }
-    }
-
     /// Members of `ranges[..]` with host index < `idx` (a rank query).
     fn rank(ranges: &[(usize, usize)], cum: &[usize], idx: usize) -> usize {
         let i = ranges.partition_point(|&(s, _)| s < idx);
@@ -855,15 +727,8 @@ impl<F: AddrFamily> HostSetView<F> {
         }
     }
 
-    /// Count members covered by a prefix. A view over the full snapshot
-    /// delegates to the snapshot's memoised index, so full-scan feedback
-    /// cycles share ranking work across the whole matrix.
+    /// Count members covered by a prefix.
     pub fn count_in_prefix(&self, p: Prefix<F>) -> usize {
-        if self.is_full_snapshot() {
-            if let Repr::Ranges { snap, .. } = &self.repr {
-                return snap.count_in_prefix(p);
-            }
-        }
         self.count_in_range(p.first(), p.last())
     }
 
@@ -1579,27 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_prefix_count_index_memoises() {
-        let snap = Snapshot::new(
-            Protocol::Http,
-            0,
-            hs(&[0x0A00_0001, 0x0A00_0002, 0x0A00_0100, 0x0B00_0000]),
-        );
-        let p24: tass_net::Prefix = "10.0.0.0/24".parse().unwrap();
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 0);
-        assert_eq!(snap.count_in_prefix(p24), 2);
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 1);
-        // warm hit returns the same answer without growing the index
-        assert_eq!(snap.count_in_prefix(p24), 2);
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 1);
-        // a clone carries the warm entries
-        assert_eq!(snap.clone().prefix_counts.read().unwrap().len(), 1);
-        // equality ignores the index
-        let cold = Snapshot::new(Protocol::Http, 0, snap.hosts.clone());
-        assert_eq!(cold, snap);
-    }
-
-    #[test]
     fn snapshot_bulk_prefix_counts_match_scalar() {
         let snap = Snapshot::new(
             Protocol::Http,
@@ -1610,11 +1454,18 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        // half-warm index: mix of hits and misses in one bulk call
-        snap.count_in_prefix(ps[0]);
-        assert_eq!(snap.prefix_counts(&ps), vec![2, 1, 0]);
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 3);
-        assert_eq!(snap.prefix_counts(&ps), vec![2, 1, 0]);
+        let scalar: Vec<u64> = ps
+            .iter()
+            .map(|&p| PrefixCount::count_in_prefix(&snap, p) as u64)
+            .collect();
+        assert_eq!(scalar, vec![2, 1, 0]);
+        let mut bulk = Vec::new();
+        PrefixCount::count_prefixes_into(&snap, &mut ps.iter().copied(), &mut bulk);
+        assert_eq!(bulk, scalar);
+        assert_eq!(
+            PrefixCount::count_prefixes_total(&snap, &mut ps.iter().copied()),
+            3
+        );
     }
 
     fn snap_of(v: &[u32]) -> Arc<Snapshot> {
@@ -1630,6 +1481,9 @@ mod tests {
         assert_eq!(v.iter().collect::<Vec<_>>(), vec![1, 5, 9, 0x0A00_0000]);
         assert_eq!(v.materialize(), snap.hosts);
         assert!(v.contains(5) && !v.contains(6));
+        let p8: tass_net::Prefix = "10.0.0.0/8".parse().unwrap();
+        assert_eq!(v.count_in_prefix(p8), 1);
+        assert_eq!(PrefixCount::count_in_prefix(&*snap, p8), 1);
         let empty = HostSetView::full(snap_of(&[]));
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
@@ -1682,16 +1536,6 @@ mod tests {
             PrefixCount::count_in_prefix(&v, p8),
             PrefixCount::count_in_prefix(&m, p8)
         );
-    }
-
-    #[test]
-    fn full_view_prefix_count_hits_snapshot_index() {
-        let snap = snap_of(&[0x0A00_0001, 0x0B00_0000]);
-        let v = HostSetView::full(snap.clone());
-        let p8: tass_net::Prefix = "10.0.0.0/8".parse().unwrap();
-        assert_eq!(v.count_in_prefix(p8), 1);
-        // the lookup went through (and warmed) the shared memo
-        assert_eq!(snap.prefix_counts.read().unwrap().len(), 1);
     }
 
     #[test]

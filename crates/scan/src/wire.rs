@@ -31,12 +31,7 @@
 //! header checksum**; instead the TCP checksum covers the RFC 2460 §8.1
 //! pseudo-header: the 16-byte source and destination addresses, the
 //! 32-bit upper-layer packet length, three zero bytes, and the next-header
-//! value. The same pseudo-header (with next header 58) protects ICMPv6.
-//!
-//! **ICMPv6 echo — 62 bytes** ([`build_echo6`]): the 40-byte IPv6 header
-//! with next header 58, followed by the 8-byte echo header
-//! (type 128/129, code 0, checksum, identifier, sequence) — the classic
-//! v6 liveness probe for hosts that drop unsolicited TCP.
+//! value.
 //!
 //! ## The allocation-free hot path
 //!
@@ -85,11 +80,6 @@ pub enum WireError {
     NotTcp,
     /// TCP checksum mismatch (over the family's pseudo-header).
     BadTcpChecksum,
-    /// Next header other than ICMPv6 (58), or not an echo type, on the
-    /// ICMPv6 parse path.
-    NotIcmpv6,
-    /// ICMPv6 checksum mismatch (over the v6 pseudo-header).
-    BadIcmpChecksum,
 }
 
 impl fmt::Display for WireError {
@@ -102,8 +92,6 @@ impl fmt::Display for WireError {
             WireError::BadIpChecksum => "IPv4 checksum mismatch",
             WireError::NotTcp => "not a TCP segment",
             WireError::BadTcpChecksum => "TCP checksum mismatch",
-            WireError::NotIcmpv6 => "not an ICMPv6 echo",
-            WireError::BadIcmpChecksum => "ICMPv6 checksum mismatch",
         };
         write!(f, "{s}")
     }
@@ -135,10 +123,6 @@ pub const TCP_HDR_LEN: usize = 20;
 pub const FRAME_LEN: usize = ETH_HDR_LEN + IP_HDR_LEN + TCP_HDR_LEN;
 /// Total length of the IPv6 TCP probe frames this crate builds.
 pub const FRAME_LEN_V6: usize = ETH_HDR_LEN + IPV6_HDR_LEN + TCP_HDR_LEN;
-/// ICMPv6 echo request/reply header length (no payload).
-pub const ICMP6_ECHO_LEN: usize = 8;
-/// Total length of the ICMPv6 echo frames this crate builds.
-pub const FRAME_LEN_ICMP6: usize = ETH_HDR_LEN + IPV6_HDR_LEN + ICMP6_ECHO_LEN;
 /// The longest frame any codec in this module emits (the IPv6 TCP SYN);
 /// sizes the fixed storage of [`FrameBuf`] and [`SynTemplate`].
 pub const MAX_FRAME_LEN: usize = FRAME_LEN_V6;
@@ -385,51 +369,6 @@ impl WireFamily for V4 {
     }
 }
 
-/// Write the fixed 40-byte IPv6 header — the one v6 header layout in
-/// this module, shared by the TCP codec (`next_header` 6) and the ICMPv6
-/// echo codec (`next_header` 58).
-fn write_v6_header(
-    out: &mut [u8],
-    hop_limit: u8,
-    src_ip: u128,
-    dst_ip: u128,
-    next_header: u8,
-    payload_len: usize,
-) {
-    out[0..4].copy_from_slice(&(6u32 << 28).to_be_bytes()); // version 6, tc 0, flow 0
-    out[4..6].copy_from_slice(&(payload_len as u16).to_be_bytes());
-    out[6] = next_header;
-    out[7] = hop_limit;
-    out[8..24].copy_from_slice(&src_ip.to_be_bytes());
-    out[24..40].copy_from_slice(&dst_ip.to_be_bytes());
-}
-
-/// Parse and validate the fixed IPv6 header at the start of `ip`,
-/// expecting `next_header` (`wrong_next` is returned otherwise). Returns
-/// `(hop_limit, src, dst)`. IPv6 has no header checksum; the
-/// payload-length field is the only integrity cross-check the header
-/// itself offers, so the frame is held to it exactly (our frames carry
-/// no trailing padding).
-fn parse_v6_header(
-    ip: &[u8],
-    next_header: u8,
-    wrong_next: WireError,
-) -> Result<(u8, u128, u128), WireError> {
-    if ip[0] >> 4 != 6 {
-        return Err(WireError::BadIpHeader);
-    }
-    let payload_len = usize::from(u16::from_be_bytes([ip[4], ip[5]]));
-    if ip.len() != IPV6_HDR_LEN + payload_len {
-        return Err(WireError::BadIpHeader);
-    }
-    if ip[6] != next_header {
-        return Err(wrong_next);
-    }
-    let src = u128::from_be_bytes(ip[8..24].try_into().expect("16 bytes"));
-    let dst = u128::from_be_bytes(ip[24..40].try_into().expect("16 bytes"));
-    Ok((ip[7], src, dst))
-}
-
 impl WireFamily for V6 {
     const ETHERTYPE: u16 = 0x86DD;
     const TCP_FRAME_LEN: usize = FRAME_LEN_V6;
@@ -439,12 +378,31 @@ impl WireFamily for V6 {
     const DST_ADDR_OFF: usize = 24;
 
     fn write_net_header(out: &mut [u8], spec: &FrameSpec<V6>, tcp_len: usize) {
-        write_v6_header(out, spec.ttl, spec.src_ip, spec.dst_ip, 6, tcp_len);
+        out[0..4].copy_from_slice(&(6u32 << 28).to_be_bytes()); // version 6, tc 0, flow 0
+        out[4..6].copy_from_slice(&(tcp_len as u16).to_be_bytes());
+        out[6] = 6; // next header TCP
+        out[7] = spec.ttl;
+        out[8..24].copy_from_slice(&spec.src_ip.to_be_bytes());
+        out[24..40].copy_from_slice(&spec.dst_ip.to_be_bytes());
     }
 
+    // IPv6 has no header checksum; the payload-length field is the only
+    // integrity cross-check the header itself offers, so the frame is
+    // held to it exactly (our frames carry no trailing padding).
     fn parse_net_header(ip: &[u8]) -> Result<(usize, u8, u128, u128), WireError> {
-        let (hop, src, dst) = parse_v6_header(ip, 6, WireError::NotTcp)?;
-        Ok((IPV6_HDR_LEN, hop, src, dst))
+        if ip[0] >> 4 != 6 {
+            return Err(WireError::BadIpHeader);
+        }
+        let payload_len = usize::from(u16::from_be_bytes([ip[4], ip[5]]));
+        if ip.len() != IPV6_HDR_LEN + payload_len {
+            return Err(WireError::BadIpHeader);
+        }
+        if ip[6] != 6 {
+            return Err(WireError::NotTcp);
+        }
+        let src = u128::from_be_bytes(ip[8..24].try_into().expect("16 bytes"));
+        let dst = u128::from_be_bytes(ip[24..40].try_into().expect("16 bytes"));
+        Ok((IPV6_HDR_LEN, ip[7], src, dst))
     }
 
     fn addr_csum(addr: u128) -> u32 {
@@ -697,16 +655,6 @@ pub fn rst_spec<F: WireFamily>(probe: &TcpFrame<F>) -> FrameSpec<F> {
     }
 }
 
-/// Build a SYN-ACK answer to a parsed SYN (the responder's packet).
-pub fn build_syn_ack<F: WireFamily>(probe: &TcpFrame<F>, server_isn: u32) -> Bytes {
-    build_frame(&syn_ack_spec(probe, server_isn))
-}
-
-/// Build a RST answer (closed port).
-pub fn build_rst<F: WireFamily>(probe: &TcpFrame<F>) -> Bytes {
-    build_frame(&rst_spec(probe))
-}
-
 /// Parse and validate an IPv4 frame (checksums verified).
 pub fn parse_frame(frame: &[u8]) -> Result<TcpFrame, WireError> {
     parse_frame_for::<V4>(frame)
@@ -749,121 +697,6 @@ pub fn parse_frame_for<F: WireFamily>(frame: &[u8]) -> Result<TcpFrame<F>, WireE
         ack: u32::from_be_bytes(tcp[8..12].try_into().expect("4 bytes")),
         flags: tcp[13],
         window: u16::from_be_bytes([tcp[14], tcp[15]]),
-    })
-}
-
-/// A parsed ICMPv6 echo request or reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Icmp6Echo {
-    /// Destination MAC.
-    pub eth_dst: [u8; 6],
-    /// Source MAC.
-    pub eth_src: [u8; 6],
-    /// Hop limit.
-    pub hop_limit: u8,
-    /// Source address (host order).
-    pub src_ip: u128,
-    /// Destination address (host order).
-    pub dst_ip: u128,
-    /// `true` for an echo reply (type 129), `false` for a request (128).
-    pub is_reply: bool,
-    /// Echo identifier.
-    pub ident: u16,
-    /// Echo sequence number.
-    pub seq: u16,
-}
-
-/// Encode an [`Icmp6Echo`] as a checksummed 62-byte frame (the type
-/// byte — 128/129 — comes from `is_reply`).
-pub fn build_echo6_frame(p: &Icmp6Echo) -> Bytes {
-    let mut buf = [0u8; FRAME_LEN_ICMP6];
-    buf[0..6].copy_from_slice(&p.eth_dst);
-    buf[6..12].copy_from_slice(&p.eth_src);
-    buf[12..14].copy_from_slice(&V6::ETHERTYPE.to_be_bytes());
-    write_v6_header(
-        &mut buf[ETH_HDR_LEN..ETH_HDR_LEN + IPV6_HDR_LEN],
-        p.hop_limit,
-        p.src_ip,
-        p.dst_ip,
-        58,
-        ICMP6_ECHO_LEN,
-    );
-    let i = ETH_HDR_LEN + IPV6_HDR_LEN;
-    buf[i] = if p.is_reply { 129 } else { 128 };
-    buf[i + 1] = 0; // code
-    buf[i + 2..i + 4].copy_from_slice(&[0, 0]); // checksum placeholder
-    buf[i + 4..i + 6].copy_from_slice(&p.ident.to_be_bytes());
-    buf[i + 6..i + 8].copy_from_slice(&p.seq.to_be_bytes());
-    let csum = V6::transport_checksum(p.src_ip, p.dst_ip, 58, &buf[i..]);
-    buf[i + 2..i + 4].copy_from_slice(&csum.to_be_bytes());
-    Bytes::copy_from_slice(&buf)
-}
-
-/// Build an ICMPv6 echo request probe (62 bytes, RFC 4443 type 128).
-pub fn build_echo6(src_ip: u128, dst_ip: u128, ident: u16, seq: u16) -> Bytes {
-    let d = FrameSpec::<V6>::default();
-    build_echo6_frame(&Icmp6Echo {
-        eth_dst: d.eth_dst,
-        eth_src: d.eth_src,
-        hop_limit: 255,
-        src_ip,
-        dst_ip,
-        is_reply: false,
-        ident,
-        seq,
-    })
-}
-
-/// Build the echo reply (type 129) answering a parsed request.
-pub fn build_echo_reply6(probe: &Icmp6Echo) -> Bytes {
-    build_echo6_frame(&Icmp6Echo {
-        eth_dst: probe.eth_src,
-        eth_src: probe.eth_dst,
-        hop_limit: 64,
-        src_ip: probe.dst_ip,
-        dst_ip: probe.src_ip,
-        is_reply: true,
-        ident: probe.ident,
-        seq: probe.seq,
-    })
-}
-
-/// Parse and validate an ICMPv6 echo frame (checksum over the v6
-/// pseudo-header with next header 58).
-pub fn parse_echo6(frame: &[u8]) -> Result<Icmp6Echo, WireError> {
-    if frame.len() < FRAME_LEN_ICMP6 {
-        return Err(WireError::Truncated);
-    }
-    let eth_dst: [u8; 6] = frame[0..6].try_into().expect("6 bytes");
-    let eth_src: [u8; 6] = frame[6..12].try_into().expect("6 bytes");
-    if u16::from_be_bytes([frame[12], frame[13]]) != V6::ETHERTYPE {
-        return Err(WireError::NotIpv6);
-    }
-    let ip = &frame[ETH_HDR_LEN..];
-    // frame.len() >= FRAME_LEN_ICMP6 and the exact payload-length check
-    // together guarantee at least ICMP6_ECHO_LEN bytes after the header
-    let (hop_limit, src_ip, dst_ip) = parse_v6_header(ip, 58, WireError::NotIcmpv6)?;
-    let icmp = &ip[IPV6_HDR_LEN..];
-    if V6::transport_checksum(src_ip, dst_ip, 58, icmp) != 0 {
-        return Err(WireError::BadIcmpChecksum);
-    }
-    let is_reply = match icmp[0] {
-        128 => false,
-        129 => true,
-        _ => return Err(WireError::NotIcmpv6),
-    };
-    if icmp[1] != 0 {
-        return Err(WireError::NotIcmpv6);
-    }
-    Ok(Icmp6Echo {
-        eth_dst,
-        eth_src,
-        hop_limit,
-        src_ip,
-        dst_ip,
-        is_reply,
-        ident: u16::from_be_bytes([icmp[4], icmp[5]]),
-        seq: u16::from_be_bytes([icmp[6], icmp[7]]),
     })
 }
 
@@ -944,7 +777,7 @@ mod tests {
     fn syn_ack_swaps_endpoints_and_acks() {
         let syn = build_syn(1, 2, 3, 4, 100);
         let probe = parse_frame(&syn).unwrap();
-        let sa = build_syn_ack(&probe, 5555);
+        let sa = build_frame(&syn_ack_spec(&probe, 5555));
         let f = parse_frame(&sa).unwrap();
         assert_eq!(f.src_ip, 2);
         assert_eq!(f.dst_ip, 1);
@@ -960,14 +793,14 @@ mod tests {
     fn v6_syn_ack_and_rst_swap_endpoints() {
         let syn = build_syn_v6(1, 2, 3, 4, 100);
         let probe = parse_frame_v6(&syn).unwrap();
-        let sa = build_syn_ack(&probe, 5555);
+        let sa = build_frame(&syn_ack_spec(&probe, 5555));
         let f = parse_frame_v6(&sa).unwrap();
         assert_eq!(f.src_ip, 2);
         assert_eq!(f.dst_ip, 1);
         assert_eq!(f.seq, 5555);
         assert_eq!(f.ack, 101);
         assert_eq!(f.flags, tcp_flags::SYN | tcp_flags::ACK);
-        let rst = build_rst(&probe);
+        let rst = build_frame(&rst_spec(&probe));
         let r = parse_frame_v6(&rst).unwrap();
         assert_eq!(r.flags, tcp_flags::RST | tcp_flags::ACK);
     }
@@ -976,7 +809,7 @@ mod tests {
     fn rst_answer() {
         let syn = build_syn(1, 2, 3, 4, u32::MAX);
         let probe = parse_frame(&syn).unwrap();
-        let rst = build_rst(&probe);
+        let rst = build_frame(&rst_spec(&probe));
         let f = parse_frame(&rst).unwrap();
         assert_eq!(f.flags, tcp_flags::RST | tcp_flags::ACK);
         assert_eq!(f.ack, 0, "seq u32::MAX + 1 wraps to 0");
@@ -1049,7 +882,6 @@ mod tests {
         assert_eq!(parse_frame_v6(&padded), Err(WireError::NotIpv6));
         let v6 = build_syn_v6(1, 2, 3, 4, 5);
         assert_eq!(parse_frame(&v6), Err(WireError::NotIpv4));
-        assert_eq!(parse_echo6(&padded), Err(WireError::NotIpv6));
     }
 
     #[test]
@@ -1063,40 +895,6 @@ mod tests {
             0,
             "TCP segment must checksum to 0 over pseudo-header"
         );
-    }
-
-    #[test]
-    fn icmp6_echo_roundtrip_and_reply() {
-        let src = (0x2001_0db8u128 << 96) | 1;
-        let dst = (0x2600u128 << 112) | 7;
-        let req = build_echo6(src, dst, 0xCAFE, 3);
-        assert_eq!(req.len(), FRAME_LEN_ICMP6);
-        let p = parse_echo6(&req).unwrap();
-        assert!(!p.is_reply);
-        assert_eq!((p.src_ip, p.dst_ip), (src, dst));
-        assert_eq!((p.ident, p.seq), (0xCAFE, 3));
-        assert_eq!(p.hop_limit, 255);
-        let reply = parse_echo6(&build_echo_reply6(&p)).unwrap();
-        assert!(reply.is_reply);
-        assert_eq!((reply.src_ip, reply.dst_ip), (dst, src));
-        assert_eq!((reply.ident, reply.seq), (0xCAFE, 3));
-    }
-
-    #[test]
-    fn icmp6_parse_rejects_corruption() {
-        let req = build_echo6(5, 9, 1, 2);
-        assert_eq!(parse_echo6(&req[..30]), Err(WireError::Truncated));
-        // flip the identifier -> checksum fails
-        let mut bad = req.to_vec();
-        bad[FRAME_LEN_ICMP6 - 4] ^= 0x01;
-        assert_eq!(parse_echo6(&bad), Err(WireError::BadIcmpChecksum));
-        // next header not ICMPv6
-        let mut bad = req.to_vec();
-        bad[ETH_HDR_LEN + 6] = 6;
-        assert_eq!(parse_echo6(&bad), Err(WireError::NotIcmpv6));
-        // a TCP v6 frame is not an echo
-        let syn = build_syn_v6(5, 9, 1, 2, 3);
-        assert_eq!(parse_echo6(&syn), Err(WireError::NotIcmpv6));
     }
 
     /// The template's incrementally-checksummed frame must be
@@ -1213,8 +1011,6 @@ mod tests {
             WireError::BadIpChecksum,
             WireError::NotTcp,
             WireError::BadTcpChecksum,
-            WireError::NotIcmpv6,
-            WireError::BadIcmpChecksum,
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -1,8 +1,8 @@
 //! The paper's quoted claims, asserted one by one against the simulation.
 //!
 //! Each test quotes the sentence it checks. Bands are widened to what a
-//! calibrated simulation can promise across seeds (EXPERIMENTS.md records
-//! the point values of the default scenario), but every *ordering* and
+//! calibrated simulation can promise across seeds (`repro` prints the
+//! point values of the default scenario), but every *ordering* and
 //! *order of magnitude* is asserted strictly.
 
 use tass::bgp::ViewKind;

@@ -268,6 +268,49 @@ fn result_pages_over_http() {
     daemon.shutdown(ShutdownMode::Drain).unwrap();
 }
 
+/// A hostile body nested 200 000 arrays deep is one small request, far
+/// under the body cap. It gets a typed 400 from the JSON parser's depth
+/// limit instead of overflowing the event-loop thread's stack, and the
+/// daemon keeps serving: healthz answers and a normal job still matches
+/// the library oracle.
+#[test]
+fn deeply_nested_body_is_a_typed_400_and_the_daemon_survives() {
+    let spec = "tass:more:0.95";
+    let seed = 7;
+    let reg = registry();
+    let daemon = Tassd::start(
+        Arc::clone(&reg),
+        ServiceConfig {
+            workers: 1,
+            quota: TenantQuota::default(),
+            month_delay: Duration::from_millis(1),
+            checkpoint_dir: None,
+        },
+    )
+    .unwrap();
+    let server = HttpServer::bind("127.0.0.1:0", daemon.core(), api::router()).unwrap();
+    let mut client = HttpClient::connect(server.addr());
+
+    let (status, body) = client
+        .post("/v1/campaigns", Some("mallory"), &"[".repeat(200_000))
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains(r#""code":"bad_request""#), "{body}");
+
+    let (status, body) = client.get("/v1/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let id = submit(&mut client, "alice", spec, seed);
+    wait_done(&mut client, "alice", id);
+    let (status, got) = client
+        .get(&format!("/v1/campaigns/{id}/results"), Some("alice"))
+        .unwrap();
+    assert_eq!(status, 200, "{got}");
+    assert_eq!(got, oracle(&reg, spec, seed));
+
+    server.shutdown();
+    daemon.shutdown(ShutdownMode::Drain).unwrap();
+}
+
 /// Many concurrent tenants hammering submit + poll from their own
 /// threads: nothing is dropped, every job completes, and round-robin
 /// dispatch keeps completions interleaved across tenants rather than
