@@ -1,28 +1,38 @@
-//! The cycle loop: strategy selection, per-cycle feedback, re-ranking.
+//! The cycle loop: strategy selection, per-cycle feedback, re-ranking,
+//! the sharded campaign matrix and the streaming plan path.
 //!
-//! PR 7 made the probe path lock-free and batched, so matrix campaigns
-//! now spend their time in the *selection* layer. This sweep measures
-//! cycles-per-second of `CampaignPool::run_matrix` over the standard
-//! 4-protocol matrix for the feedback strategies (`Tass`,
-//! `ReseedingTass`, `AdaptiveTass`) at 1/2/4 workers, plus the bytes
-//! allocated per cycle on a serial run (a counting global allocator —
-//! the copy-free feedback claim is an allocation claim, so it is
-//! measured, not asserted). Results go to `BENCH_campaign.json` at the
-//! repo root. No baseline is pinned: a comparison is only meaningful
-//! against the parent revision built and run on the same machine.
+//! Rows, all medians with quartiles (see the `tass_bench` docs):
 //!
-//! Runs fast enough for CI (set `CAMPAIGN_BENCH_QUICK=1` to shrink the
-//! rep count); throughput varies with the machine, but the sweep
-//! structure, cycle counts, and allocation numbers are deterministic.
+//! * `cycle_loop` — cycles per second (`cps`) of
+//!   `CampaignPool::run_matrix` over the 4-protocol matrix, with the
+//!   bytes allocated per cycle (a counting global allocator: the
+//!   copy-free feedback claim is an allocation claim, so it is
+//!   measured, not asserted). Swept for each feedback strategy
+//!   (`Tass`, `ReseedingTass`, `AdaptiveTass`) at 1/2/4 workers, and
+//!   for the standard matrix — one strategy of every cost class — at
+//!   1/2/4/8 workers;
+//! * `matrix_speedup` — the standard matrix's serial median over its
+//!   4-worker median. Campaigns are independent, so on an N-core
+//!   machine this should be ≥ 2×; on one core it honestly reads ~1×.
+//!   The pooled results are asserted byte-identical to serial;
+//! * `plan_stream` — addresses per second of a full-scan `ProbePlan`
+//!   streamed over a /10 of space (4M addresses) with O(1) state per
+//!   prefix, never materialising the target vector.
+//!
+//! Results go to `BENCH_campaign.json` at the repo root. No baseline is
+//! pinned: a comparison is only meaningful against the parent revision
+//! built and run on the same machine. `BENCH_QUICK=1` shrinks the rep
+//! count for CI; cycle counts and allocation numbers are deterministic
+//! either way.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::Path;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Instant;
-use tass_bench::scenario;
+use tass_bench::{reps, scenario, time, Fixed, Report, Row};
 use tass_bgp::ViewKind;
 use tass_core::campaign::CampaignPool;
-use tass_core::StrategyKind;
+use tass_core::{ProbePlan, StrategyKind};
+use tass_net::Prefix;
 
 /// A pass-through allocator that counts every byte, so the bench can
 /// report allocated-bytes-per-cycle and peak live heap for the cycle
@@ -50,113 +60,132 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The feedback-strategy sweep: every strategy whose cycle loop reads
-/// the ranking or the per-cycle responsive set.
-fn sweep_kinds() -> Vec<(&'static str, StrategyKind)> {
+const MORE: ViewKind = ViewKind::MoreSpecific;
+
+const TASS: StrategyKind = StrategyKind::Tass {
+    view: MORE,
+    phi: 0.95,
+};
+
+fn reseeding(delta_t: u32) -> StrategyKind {
+    StrategyKind::ReseedingTass {
+        view: MORE,
+        phi: 0.95,
+        delta_t,
+    }
+}
+
+/// The standard matrix: one strategy of every cost class.
+fn standard_matrix() -> Vec<StrategyKind> {
     vec![
-        (
-            "tass",
-            StrategyKind::Tass {
-                view: ViewKind::MoreSpecific,
-                phi: 0.95,
-            },
-        ),
-        (
-            "reseeding_tass",
-            StrategyKind::ReseedingTass {
-                view: ViewKind::MoreSpecific,
-                phi: 0.95,
-                delta_t: 2,
-            },
-        ),
-        (
-            "adaptive_tass",
-            StrategyKind::AdaptiveTass {
-                view: ViewKind::MoreSpecific,
-                phi: 0.90,
-                explore: 0.05,
-            },
-        ),
+        StrategyKind::FullScan,
+        TASS,
+        StrategyKind::IpHitlist,
+        reseeding(3),
     ]
 }
 
-/// One timed cell: cycles/s of the 4-protocol matrix for one strategy
-/// at a worker count, plus (allocated bytes, cycles) for the runs.
-fn measure(
-    universe: &tass_model::Universe,
-    kind: StrategyKind,
-    workers: usize,
-    reps: usize,
-) -> (f64, u64, u64) {
-    let pool = if workers == 1 {
-        CampaignPool::serial()
-    } else {
-        CampaignPool::new(workers)
+/// The sweep: every strategy whose cycle loop reads the ranking or the
+/// per-cycle responsive set at 1/2/4 workers, then the standard matrix
+/// at 1/2/4/8 workers.
+fn sweep() -> Vec<(&'static str, Vec<StrategyKind>, &'static [usize])> {
+    let adaptive = StrategyKind::AdaptiveTass {
+        view: MORE,
+        phi: 0.90,
+        explore: 0.05,
     };
-    let kinds = [kind];
-    // warm-up (also the cycle count: deterministic across reps)
-    let cycles: u64 = pool
-        .run_matrix(universe, &kinds, 7)
+    vec![
+        ("tass", vec![TASS], &[1, 2, 4]),
+        ("reseeding_tass", vec![reseeding(2)], &[1, 2, 4]),
+        ("adaptive_tass", vec![adaptive], &[1, 2, 4]),
+        ("standard_matrix", standard_matrix(), &[1, 2, 4, 8]),
+    ]
+}
+
+/// The /10 full-scan stream: addresses per second, never materialised.
+fn plan_stream_row(report: &mut Report, reps: usize) {
+    // a /10 of space (4M addresses) as three uneven announced prefixes
+    let announced: Vec<Prefix> = ["10.0.0.0/11", "10.32.0.0/12", "10.48.0.0/12"]
         .iter()
-        .map(|r| r.months.len() as u64)
-        .sum();
-    let alloc0 = ALLOCATED.load(Ordering::Relaxed);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let c: u64 = pool
-            .run_matrix(universe, &kinds, 7)
-            .iter()
-            .map(|r| r.months.len() as u64)
-            .sum();
-        assert_eq!(c, cycles);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let allocated = ALLOCATED.load(Ordering::Relaxed) - alloc0;
-    (
-        cycles as f64 * reps as f64 / secs,
-        allocated / (cycles * reps as u64),
-        cycles,
-    )
+        .map(|p| p.parse().unwrap())
+        .collect();
+    let space: u64 = announced.iter().map(|p| p.size()).sum();
+    let t = time(reps, || {
+        ProbePlan::All
+            .stream(0, black_box(&announced), 0xF00D)
+            .fold(0u64, |acc, a| acc ^ u64::from(a))
+    });
+    report.row(
+        Row::new("plan_stream")
+            .set("plan", "full_scan_slash10")
+            .set("addresses", space)
+            .rate("addrs_per_sec", &t, space as f64, 0),
+    );
 }
 
 fn main() {
     // `cargo bench` passes harness flags; ignore them.
-    let quick = std::env::var("CAMPAIGN_BENCH_QUICK").is_ok();
-    let reps = if quick { 2 } else { 8 };
-
+    let reps = reps(8, 2);
     let s = scenario();
-    let mut rows = String::new();
-    let mut total_cycles = 0u64;
-    for (name, kind) in sweep_kinds() {
-        for workers in [1usize, 2, 4] {
-            let (cps, bytes_per_cycle, cycles) = measure(&s.universe, kind, workers, reps);
-            total_cycles = total_cycles.max(cycles);
-            eprintln!(
-                "campaign {name:>15} x{workers}: {cps:7.0} cycles/s, \
-                 {bytes_per_cycle} B/cycle",
-            );
-            if !rows.is_empty() {
-                rows.push(',');
+    let mut report = Report::new("campaign", Some("BENCH_campaign.json"));
+    let mut matrix_cycles = None;
+    let mut standard_medians = Vec::new();
+    for (name, kinds, workers_list) in sweep() {
+        for &workers in workers_list {
+            let pool = CampaignPool::new(workers);
+            let mut cycles = None;
+            let alloc0 = ALLOCATED.load(Ordering::Relaxed);
+            let t = time(reps, || {
+                let c: u64 = pool
+                    .run_matrix(&s.universe, &kinds, 7)
+                    .iter()
+                    .map(|r| r.months.len() as u64)
+                    .sum();
+                // deterministic: every rep runs the same cycles
+                assert_eq!(*cycles.get_or_insert(c), c);
+            });
+            let cycles = cycles.expect("timed at least once");
+            // the warm-up call allocates like every timed one
+            let calls = reps as u64 + 1;
+            let allocated = ALLOCATED.load(Ordering::Relaxed) - alloc0;
+            matrix_cycles.get_or_insert(cycles);
+            if name == "standard_matrix" {
+                standard_medians.push((workers, t.median));
             }
-            rows.push_str(&format!(
-                concat!(
-                    "\n  {{\"strategy\":\"{}\",\"workers\":{},",
-                    "\"cps\":{:.0},\"alloc_bytes_per_cycle\":{}}}"
-                ),
-                name, workers, cps, bytes_per_cycle
-            ));
+            report.row(
+                Row::new("cycle_loop")
+                    .set("strategy", name)
+                    .set("workers", workers)
+                    .set("cycles", cycles)
+                    .rate("cps", &t, cycles as f64, 0)
+                    .set("alloc_bytes_per_cycle", allocated / (cycles * calls)),
+            );
         }
     }
 
-    let peak = PEAK.load(Ordering::Relaxed);
-    let record = format!(
-        concat!(
-            "{{\"bench\":\"campaign\",\"matrix_cycles\":{},\"reps\":{},",
-            "\"peak_live_heap_bytes\":{},\"sweep\":[{}\n]}}\n"
-        ),
-        total_cycles, reps, peak, rows
+    // the headline scaling number, from the standard matrix's rows, and
+    // the check that makes it a fair comparison
+    let median_at = |w| standard_medians.iter().find(|&&(n, _)| n == w).unwrap().1;
+    let kinds = standard_matrix();
+    let serial = CampaignPool::serial().run_matrix(&s.universe, &kinds, 7);
+    let pooled = CampaignPool::new(4).run_matrix(&s.universe, &kinds, 7);
+    assert_eq!(serial, pooled, "pooled matrix must be byte-identical");
+    report.row(
+        Row::new("matrix_speedup")
+            .set("workers", 4usize)
+            .set("speedup", Fixed(median_at(1) / median_at(4), 2))
+            .set(
+                "cores",
+                std::thread::available_parallelism().map_or(1, |n| n.get()),
+            ),
     );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_campaign.json");
-    std::fs::write(&path, &record).expect("write BENCH_campaign.json");
-    eprintln!("campaign sweep → {}", path.display());
+
+    plan_stream_row(&mut report, reps);
+
+    report
+        .head()
+        .set("matrix_cycles", matrix_cycles.expect("sweep is not empty"))
+        .set("reps", reps)
+        .set("peak_live_heap_bytes", PEAK.load(Ordering::Relaxed));
+    report.finish();
 }

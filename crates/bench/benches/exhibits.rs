@@ -2,71 +2,63 @@
 //! scale and measures the cost of doing so. The measured *values* land in
 //! `results/` when run through the `repro` binary; these benches guard the
 //! *cost* of every step of the reproduction pipeline, exhibits picked
-//! from the index in `tass_experiments::exhibits::all`:
+//! from the index in `tass_experiments::exhibits::all` (`EXHIBITS` maps
+//! each row name to its exhibit id), plus `universe_generation`, the
+//! seeding "full scan" itself.
 //!
-//! | bench               | exhibit            |
-//! |---------------------|--------------------|
-//! | `fig1_scoping`      | Figure 1           |
-//! | `fig2_deagg`        | Figure 2           |
-//! | `fig3_lengths`      | Figure 3           |
-//! | `fig4_rank`         | Figure 4           |
-//! | `table1_selection`  | Table 1            |
-//! | `sec34_stats`       | §3.4 statistics    |
-//! | `fig5_hitlist`      | Figure 5           |
-//! | `fig6_campaign`     | Figure 6 (a and b) |
-//! | `efficiency_claims` | abstract / §5      |
-//! | `ablation_random`   | ablation (ours)    |
-//! | `adaptive_feedback` | feedback loop (ours) |
-//! | `scan_validation`   | engine-in-the-loop |
-//! | `universe_generation` | the seeding "full scan" itself |
+//! Each row is the median time with its quartiles (see the `tass_bench`
+//! docs). Rows are printed, not written to a file.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tass_bench::scenario;
+use tass_bench::{reps, scenario, time, Report, Row};
 use tass_experiments::exhibits;
 use tass_experiments::{Scenario, ScenarioConfig};
 
-fn bench_exhibit(c: &mut Criterion, bench_name: &str, id: &str) {
+const EXHIBITS: [(&str, &str); 12] = [
+    ("fig1_scoping", "fig1"),
+    ("fig2_deagg", "fig2"),
+    ("fig3_lengths", "fig3"),
+    ("fig4_rank", "fig4"),
+    ("table1_selection", "table1"),
+    ("sec34_stats", "sec34"),
+    ("fig5_hitlist", "fig5"),
+    ("fig6_campaign", "fig6a"),
+    ("efficiency_claims", "efficiency"),
+    ("ablation_random", "ablation"),
+    ("adaptive_feedback", "adaptive"),
+    ("scan_validation", "scan_validation"),
+];
+
+fn main() {
+    let reps = reps(10, 2);
     let s = scenario();
-    let f = exhibits::by_id(id).unwrap_or_else(|| panic!("exhibit {id} missing"));
-    c.bench_function(bench_name, |b| b.iter(|| f(black_box(s)).text.len()));
-}
-
-fn exhibits_benches(c: &mut Criterion) {
-    bench_exhibit(c, "fig1_scoping", "fig1");
-    bench_exhibit(c, "fig2_deagg", "fig2");
-    bench_exhibit(c, "fig3_lengths", "fig3");
-    bench_exhibit(c, "fig4_rank", "fig4");
-    bench_exhibit(c, "table1_selection", "table1");
-    bench_exhibit(c, "sec34_stats", "sec34");
-    bench_exhibit(c, "fig5_hitlist", "fig5");
-    bench_exhibit(c, "fig6_campaign", "fig6a");
-    bench_exhibit(c, "efficiency_claims", "efficiency");
-    bench_exhibit(c, "ablation_random", "ablation");
-    bench_exhibit(c, "adaptive_feedback", "adaptive");
-    bench_exhibit(c, "scan_validation", "scan_validation");
-}
-
-fn universe_generation(c: &mut Criterion) {
-    c.bench_function("universe_generation", |b| {
-        b.iter(|| {
-            let cfg = ScenarioConfig {
-                seed: 0x17EA,
-                l_prefix_count: 200,
-                host_scale: 1.0,
-                months: 6,
-            };
-            Scenario::build(black_box(&cfg))
-                .universe
-                .snapshot(6, tass_model::Protocol::Http)
-                .len()
-        })
+    let mut report = Report::new("exhibits", None);
+    for (name, id) in EXHIBITS {
+        let f = exhibits::by_id(id).unwrap_or_else(|| panic!("exhibit {id} missing"));
+        let t = time(reps, || f(black_box(s)).text.len());
+        report.row(
+            Row::new("exhibit")
+                .set("name", name)
+                .set("exhibit", id)
+                .time("ms", &t, 1e3, 3),
+        );
+    }
+    let t = time(reps, || {
+        let cfg = ScenarioConfig {
+            seed: 0x17EA,
+            l_prefix_count: 200,
+            host_scale: 1.0,
+            months: 6,
+        };
+        Scenario::build(black_box(&cfg))
+            .universe
+            .snapshot(6, tass_model::Protocol::Http)
+            .len()
     });
+    report.row(
+        Row::new("exhibit")
+            .set("name", "universe_generation")
+            .time("ms", &t, 1e3, 3),
+    );
+    report.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = exhibits_benches, universe_generation
-}
-criterion_main!(benches);

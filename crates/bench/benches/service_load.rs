@@ -1,39 +1,38 @@
 //! `tassd` under load: what the HTTP control plane costs.
 //!
-//! Two layers:
+//! Rows, all medians with quartiles (see the `tass_bench` docs) unless
+//! they are latency distributions of their own:
 //!
-//! * **criterion micro-benches** — per-request cost of the hand-rolled
-//!   HTTP path over real loopback TCP: a `/v1/healthz` roundtrip, a
-//!   status poll of a finished campaign, and a full `POST
-//!   /v1/campaigns` submit (workers drain the queue concurrently);
-//! * **a concurrent-connection sweep** — 16/64/256/1024 keep-alive
-//!   clients, each submitting a burst of campaigns and then polling
-//!   status under load, plus a row where slowloris-style connections
-//!   drip bytes alongside the pollers. Each row records submissions/s,
-//!   completion throughput, and p50/p99 status-poll latency to
-//!   `BENCH_service.json` at the repo root. No baseline is pinned: a
-//!   comparison is only meaningful against the parent revision built
-//!   and run on the same machine.
+//! * `request` — per-request cost of the hand-rolled HTTP path over
+//!   real loopback TCP: a `/v1/healthz` roundtrip, a status poll of a
+//!   finished campaign, and a full `POST /v1/campaigns` submit (workers
+//!   drain the queue concurrently);
+//! * `epoll` / `epoll-slow-mix` — a concurrent-connection sweep: 16/64/
+//!   256/1024 keep-alive clients, each submitting a burst of campaigns
+//!   and then polling status under load, plus a row where
+//!   slowloris-style connections drip bytes alongside the pollers. Each
+//!   row records submissions/s, completion throughput, and p50/p99
+//!   status-poll latency. Every client must ride one connection (zero
+//!   reconnects) and no campaign may be dropped; a failure names its
+//!   row and the error kind.
 //!
-//! `SERVICE_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
+//! The rows go to `BENCH_service.json` at the repo root. No baseline is
+//! pinned: a comparison is only meaningful against the parent revision
+//! built and run on the same machine. `BENCH_QUICK=1` shrinks the sweep
+//! for CI smoke runs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::net::TcpStream;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
+use tass_bench::{quick, reps, time, Fixed, Report, Row};
 use tass_model::registry::SourceRegistry;
 use tass_model::{Universe, UniverseConfig};
 use tass_service::{
     api, HttpClient, HttpServer, HttpdConfig, ServiceConfig, ShutdownMode, Tassd, TenantQuota,
 };
-
-fn quick() -> bool {
-    std::env::var_os("SERVICE_BENCH_QUICK").is_some()
-}
 
 fn registry() -> Arc<SourceRegistry> {
     let mut reg = SourceRegistry::new();
@@ -74,107 +73,75 @@ fn start_daemon(workers: usize) -> (Tassd, HttpServer) {
     (daemon, server)
 }
 
-fn submit(client: &mut HttpClient, tenant: &str, seed: u64) -> u64 {
+fn submit(client: &mut HttpClient, tenant: &str, seed: u64) -> io::Result<u64> {
     let body =
         format!(r#"{{"source":"demo","strategy":"ip-hitlist","protocol":"http","seed":{seed}}}"#);
-    let (status, body) = client
-        .post("/v1/campaigns", Some(tenant), &body)
-        .expect("submit");
+    let (status, body) = client.post("/v1/campaigns", Some(tenant), &body)?;
     assert_eq!(status, 201, "{body}");
     let pat = r#""id":"#;
     let rest = &body[body.find(pat).unwrap() + pat.len()..];
-    rest.chars()
+    Ok(rest
+        .chars()
         .take_while(char::is_ascii_digit)
         .collect::<String>()
         .parse()
-        .unwrap()
+        .unwrap())
 }
 
 /// Poll until done, without recording latencies.
-fn wait_done(client: &mut HttpClient, tenant: &str, id: u64) {
+fn wait_done(client: &mut HttpClient, tenant: &str, id: u64) -> io::Result<()> {
     loop {
-        let (status, body) = client
-            .get(&format!("/v1/campaigns/{id}"), Some(tenant))
-            .expect("poll");
+        let (status, body) = client.get(&format!("/v1/campaigns/{id}"), Some(tenant))?;
         assert_eq!(status, 200, "{body}");
         if body.contains(r#""status":"done""#) {
-            return;
+            return Ok(());
         }
         assert!(!body.contains(r#""status":"failed""#), "{body}");
         thread::sleep(Duration::from_millis(1));
     }
 }
 
-fn bench_control_plane(c: &mut Criterion) {
+fn request_rows(report: &mut Report) {
+    let reps = reps(20, 5);
     let (daemon, server) = start_daemon(2);
     let mut client = HttpClient::connect(server.addr());
-    let mut group = c.benchmark_group("service_load");
+    let mut row = |name: &str, t| {
+        report.row(
+            Row::new("request")
+                .set("request", name)
+                .time("us", &t, 1e6, 1),
+        );
+    };
 
-    group.bench_function("healthz_roundtrip", |b| {
-        b.iter(|| {
+    row(
+        "healthz_roundtrip",
+        time(reps, || {
             let (status, _) = client.get("/v1/healthz", None).expect("healthz");
             assert_eq!(status, 200);
-        })
-    });
-
-    let done_id = submit(&mut client, "bench", 1);
-    wait_done(&mut client, "bench", done_id);
-    group.bench_function("status_poll_done", |b| {
-        b.iter(|| {
+        }),
+    );
+    let done_id = submit(&mut client, "bench", 1).expect("submit");
+    wait_done(&mut client, "bench", done_id).expect("poll");
+    row(
+        "status_poll_done",
+        time(reps, || {
             let (status, _) = client
                 .get(&format!("/v1/campaigns/{done_id}"), Some("bench"))
                 .expect("poll");
             assert_eq!(status, 200);
-        })
-    });
-
+        }),
+    );
     let mut seed = 100;
-    group.bench_function("submit_campaign", |b| {
-        b.iter(|| {
+    row(
+        "submit_campaign",
+        time(reps, || {
             seed += 1;
-            submit(&mut client, "bench", seed)
-        })
-    });
+            submit(&mut client, "bench", seed).expect("submit")
+        }),
+    );
 
-    group.finish();
     server.shutdown();
     daemon.shutdown(ShutdownMode::Drain).expect("drain");
-}
-
-/// One sweep row's measurements.
-struct Row {
-    clients: usize,
-    campaigns_per_client: usize,
-    slow_clients: usize,
-    submissions_per_sec: f64,
-    completions_per_sec: f64,
-    poll_p50: Duration,
-    poll_p99: Duration,
-    polls: usize,
-    wall: Duration,
-}
-
-impl Row {
-    fn render(&self, label: &str) -> String {
-        format!(
-            concat!(
-                "{{\"bench\":\"service_load\",\"row\":\"{}\",",
-                "\"clients\":{},\"campaigns_per_client\":{},\"slow_clients\":{},",
-                "\"submissions_per_sec\":{:.1},\"completions_per_sec\":{:.1},",
-                "\"poll_p50_ms\":{:.3},\"poll_p99_ms\":{:.3},\"polls\":{},\"wall_secs\":{:.3}}}"
-            ),
-            label,
-            self.clients,
-            self.campaigns_per_client,
-            self.slow_clients,
-            self.submissions_per_sec,
-            self.completions_per_sec,
-            self.poll_p50.as_secs_f64() * 1e3,
-            self.poll_p99.as_secs_f64() * 1e3,
-            self.polls,
-            self.wall.as_secs_f64(),
-        )
-    }
 }
 
 /// Keep connections dripping request bytes (one byte per 20 ms) until
@@ -202,10 +169,56 @@ fn slowloris(addr: std::net::SocketAddr, stop: Arc<AtomicBool>) {
     }
 }
 
+/// What one sweep client saw.
+struct ClientRun {
+    submitted: Instant,
+    done: Instant,
+    poll_latencies: Vec<Duration>,
+    reconnects: u64,
+}
+
+/// One sweep client: submit a burst of campaigns, wait for them, then
+/// hammer status polls.
+fn client_run(
+    addr: std::net::SocketAddr,
+    tenant: &str,
+    first_seed: u64,
+    campaigns: usize,
+    polls: usize,
+    barrier: &Barrier,
+) -> io::Result<ClientRun> {
+    let mut client = HttpClient::connect(addr);
+    barrier.wait();
+    let ids = (0..campaigns as u64)
+        .map(|j| submit(&mut client, tenant, first_seed + j))
+        .collect::<io::Result<Vec<u64>>>()?;
+    let submitted = Instant::now();
+    for &id in &ids {
+        wait_done(&mut client, tenant, id)?;
+    }
+    let done = Instant::now();
+    // poll phase: status requests under full connection load
+    let mut poll_latencies = Vec::with_capacity(polls);
+    for _ in 0..polls {
+        let p0 = Instant::now();
+        let (status, _) = client.get(&format!("/v1/campaigns/{}", ids[0]), Some(tenant))?;
+        poll_latencies.push(p0.elapsed());
+        assert_eq!(status, 200);
+        thread::sleep(Duration::from_millis(1));
+    }
+    Ok(ClientRun {
+        submitted,
+        done,
+        poll_latencies,
+        reconnects: client.reconnects(),
+    })
+}
+
 /// One row of the sweep: `clients` keep-alive connections submit a
 /// burst of campaigns, wait for them, then hammer status polls (with
 /// `slow_clients` slowloris connections dripping alongside).
 fn sweep_row(
+    label: &str,
     clients: usize,
     campaigns_per_client: usize,
     polls_per_client: usize,
@@ -213,6 +226,7 @@ fn sweep_row(
 ) -> Row {
     let (daemon, server) = start_daemon(2);
     let addr = server.addr();
+    let row_name = format!("{label} row ({clients} clients, {slow_clients} slow)");
 
     let stop_slow = Arc::new(AtomicBool::new(false));
     let slow_handles: Vec<_> = (0..slow_clients)
@@ -227,37 +241,23 @@ fn sweep_row(
         .map(|t| {
             let barrier = Arc::clone(&barrier);
             thread::spawn(move || {
+                let first_seed = (t * campaigns_per_client) as u64;
                 let tenant = format!("client-{t}");
-                let mut client = HttpClient::connect(addr);
-                barrier.wait();
-                let ids: Vec<u64> = (0..campaigns_per_client)
-                    .map(|j| submit(&mut client, &tenant, (t * campaigns_per_client + j) as u64))
-                    .collect();
-                let submitted = Instant::now();
-                for &id in &ids {
-                    wait_done(&mut client, &tenant, id);
-                }
-                let done = Instant::now();
-                // poll phase: status requests under full connection load
-                let mut lat = Vec::with_capacity(polls_per_client);
-                for _ in 0..polls_per_client {
-                    let p0 = Instant::now();
-                    let (status, _) = client
-                        .get(&format!("/v1/campaigns/{}", ids[0]), Some(&tenant))
-                        .expect("poll");
-                    lat.push(p0.elapsed());
-                    assert_eq!(status, 200);
-                    thread::sleep(Duration::from_millis(1));
-                }
-                assert_eq!(client.reconnects(), 0, "keep-alive must hold");
-                (submitted, done, lat)
+                client_run(
+                    addr,
+                    &tenant,
+                    first_seed,
+                    campaigns_per_client,
+                    polls_per_client,
+                    &barrier,
+                )
             })
         })
         .collect();
 
     let t0 = Instant::now();
     barrier.wait();
-    let results: Vec<(Instant, Instant, Vec<Duration>)> =
+    let results: Vec<io::Result<ClientRun>> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
     let wall = t0.elapsed();
     stop_slow.store(true, Ordering::Relaxed);
@@ -267,78 +267,80 @@ fn sweep_row(
     for h in slow_handles {
         let _ = h.join();
     }
-    let total = (clients * campaigns_per_client) as u64;
-    assert_eq!(report.completed, total, "sweep row dropped campaigns");
-
-    let submit_wall = results
-        .iter()
-        .map(|(s, _, _)| s.duration_since(t0))
-        .max()
-        .expect("clients > 0");
-    let done_wall = results
-        .iter()
-        .map(|(_, d, _)| d.duration_since(t0))
-        .max()
-        .expect("clients > 0");
-    let mut polls: Vec<Duration> = results.into_iter().flat_map(|(_, _, l)| l).collect();
-    polls.sort_unstable();
-    Row {
-        clients,
-        campaigns_per_client,
-        slow_clients,
-        submissions_per_sec: total as f64 / submit_wall.as_secs_f64(),
-        completions_per_sec: total as f64 / done_wall.as_secs_f64(),
-        poll_p50: polls[polls.len() / 2],
-        poll_p99: polls[(polls.len() * 99 / 100).min(polls.len() - 1)],
-        polls: polls.len(),
-        wall,
+    let runs: Vec<ClientRun> = results
+        .into_iter()
+        .enumerate()
+        .map(|(t, r)| {
+            r.unwrap_or_else(|e| panic!("{row_name}: client {t} failed ({:?}): {e}", e.kind()))
+        })
+        .collect();
+    for (t, run) in runs.iter().enumerate() {
+        assert_eq!(
+            run.reconnects, 0,
+            "keep-alive must hold: {row_name}, client {t} re-dialled"
+        );
     }
+    let total = (clients * campaigns_per_client) as u64;
+    assert_eq!(report.completed, total, "{row_name} dropped campaigns");
+
+    let submit_wall = runs
+        .iter()
+        .map(|r| r.submitted.duration_since(t0))
+        .max()
+        .expect("clients > 0");
+    let done_wall = runs
+        .iter()
+        .map(|r| r.done.duration_since(t0))
+        .max()
+        .expect("clients > 0");
+    let mut polls: Vec<Duration> = runs.into_iter().flat_map(|r| r.poll_latencies).collect();
+    polls.sort_unstable();
+    let ms = |d: Duration| Fixed(d.as_secs_f64() * 1e3, 3);
+    let mut row = Row::new(label);
+    row.set("clients", clients)
+        .set("campaigns_per_client", campaigns_per_client)
+        .set("slow_clients", slow_clients)
+        .set(
+            "submissions_per_sec",
+            Fixed(total as f64 / submit_wall.as_secs_f64(), 1),
+        )
+        .set(
+            "completions_per_sec",
+            Fixed(total as f64 / done_wall.as_secs_f64(), 1),
+        )
+        .set("poll_p50_ms", ms(polls[polls.len() / 2]))
+        .set(
+            "poll_p99_ms",
+            ms(polls[(polls.len() * 99 / 100).min(polls.len() - 1)]),
+        )
+        .set("polls", polls.len())
+        .set("wall_secs", Fixed(wall.as_secs_f64(), 3));
+    row
 }
 
-/// The sweep: run every row, then write one line per row to
-/// `BENCH_service.json`.
-fn connection_sweep() {
+fn main() {
+    let mut report = Report::new("service_load", Some("BENCH_service.json"));
+    request_rows(&mut report);
     let (counts, polls): (&[usize], usize) = if quick() {
         (&[16, 64], 10)
     } else {
         (&[16, 64, 256, 1024], 50)
     };
-    let mut lines = Vec::new();
     for &clients in counts {
         // a roughly constant total campaign load across rows, so rows
         // differ in connection count, not campaign work
         let per_client = (256 / clients).max(1);
-        let row = sweep_row(clients, per_client, polls, 0);
-        eprintln!("service_load sweep: {}", row.render("epoll"));
-        lines.push(row.render("epoll"));
+        report.row(&sweep_row("epoll", clients, per_client, polls, 0));
     }
     // the slow-client mix at the headline connection count
-    let mix_clients = if quick() { 64 } else { 256 };
-    let slow = if quick() { 4 } else { 32 };
-    let row = sweep_row(mix_clients, (256 / mix_clients).max(1), polls, slow);
-    eprintln!("service_load sweep: {}", row.render("epoll-slow-mix"));
-    lines.push(row.render("epoll-slow-mix"));
-
-    // quick mode exists for CI smoke coverage: the row assertions (zero
-    // reconnects, no dropped campaigns) are the check, and a truncated
-    // sweep must not clobber the checked-in full trajectory file
-    if quick() {
-        eprintln!("service_load sweep: quick mode, BENCH_service.json left untouched");
-        return;
-    }
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json");
-    std::fs::write(&path, lines.join("\n") + "\n").expect("write BENCH_service.json");
-    eprintln!("service_load sweep → {}", path.display());
+    let (mix_clients, slow) = if quick() { (64, 4) } else { (256, 32) };
+    let per_client = (256 / mix_clients).max(1);
+    report.row(&sweep_row(
+        "epoll-slow-mix",
+        mix_clients,
+        per_client,
+        polls,
+        slow,
+    ));
+    report.finish();
 }
-
-fn bench_fleet(c: &mut Criterion) {
-    // run once, outside criterion's sampling loop — the sweep is the
-    // measurement, criterion just hosts it
-    connection_sweep();
-    // keep criterion happy with a registered (cheap) benchmark so the
-    // group shows up in reports
-    c.bench_function("service_load/sweep_recorded", |b| b.iter(|| 1 + 1));
-}
-
-criterion_group!(benches, bench_control_plane, bench_fleet);
-criterion_main!(benches);

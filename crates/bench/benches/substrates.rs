@@ -1,15 +1,31 @@
 //! Microbenches for the hot substrate paths: the trie, deaggregation, the
-//! cyclic permutation, the wire codecs, SipHash, set algebra, and the
-//! host-set merge that dominates strategy evaluation.
+//! cyclic permutation, SipHash, set algebra, and the host-set merge that
+//! dominates strategy evaluation. (The wire codec's rows live in the
+//! `engine` bench, next to the probe path that uses it.)
+//!
+//! Each row is the median time per sample with its quartiles (see the
+//! `tass_bench` docs) and, where a sample handles many elements, the
+//! element rate. Rows are printed, not written to a file.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use tass_bench::{reps, time, Report, Row, Timing};
 use tass_model::HostSet;
 use tass_net::{deagg, Cyclic, Prefix, PrefixSet, PrefixTrie};
 use tass_scan::siphash::SipHash24;
-use tass_scan::wire;
+
+/// Print one row: `group/name`, the time per sample, and the rate of
+/// `elements` handled per sample.
+fn row(report: &mut Report, group: &str, name: &str, elements: u64, t: Timing) {
+    report.row(
+        Row::new(group)
+            .set("name", name)
+            .set("elements", elements)
+            .time("us", &t, 1e6, 3)
+            .rate("elems_per_sec", &t, elements as f64, 0),
+    );
+}
 
 fn random_prefixes(n: usize, seed: u64) -> Vec<Prefix> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -21,8 +37,7 @@ fn random_prefixes(n: usize, seed: u64) -> Vec<Prefix> {
         .collect()
 }
 
-fn bench_trie(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trie");
+fn bench_trie(report: &mut Report, reps: usize) {
     for n in [10_000usize, 100_000] {
         let prefixes = random_prefixes(n, 1);
         let trie: PrefixTrie<u32> = prefixes
@@ -32,146 +47,109 @@ fn bench_trie(c: &mut Criterion) {
             .collect();
         let mut rng = SmallRng::seed_from_u64(2);
         let addrs: Vec<u32> = (0..10_000).map(|_| rng.random()).collect();
-        group.throughput(Throughput::Elements(addrs.len() as u64));
-        group.bench_with_input(BenchmarkId::new("longest_match", n), &trie, |b, trie| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &a in &addrs {
-                    if trie.longest_match(black_box(a)).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            })
+        let queries = addrs.len() as u64;
+        let t = time(reps, || {
+            let hits = addrs
+                .iter()
+                .filter(|&&a| trie.longest_match(black_box(a)).is_some());
+            hits.count()
         });
-        group.bench_with_input(BenchmarkId::new("shortest_match", n), &trie, |b, trie| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &a in &addrs {
-                    if trie.shortest_match(black_box(a)).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            })
+        row(report, "trie", &format!("longest_match/{n}"), queries, t);
+        let t = time(reps, || {
+            let hits = addrs
+                .iter()
+                .filter(|&&a| trie.shortest_match(black_box(a)).is_some());
+            hits.count()
         });
-        group.bench_with_input(BenchmarkId::new("build", n), &prefixes, |b, ps| {
-            b.iter(|| {
-                let t: PrefixTrie<()> = ps.iter().map(|&p| (p, ())).collect();
-                t.len()
-            })
+        row(report, "trie", &format!("shortest_match/{n}"), queries, t);
+        let t = time(reps, || {
+            let t: PrefixTrie<()> = prefixes.iter().map(|&p| (p, ())).collect();
+            t.len()
         });
+        row(report, "trie", &format!("build/{n}"), n as u64, t);
     }
-    group.finish();
 }
 
-fn bench_deagg(c: &mut Criterion) {
-    let mut group = c.benchmark_group("deaggregation");
+fn bench_deagg(report: &mut Report, reps: usize) {
     let scen = tass_bench::scenario();
     let prefixes: Vec<Prefix> = scen.universe.topology().synth.table.prefixes().collect();
-    group.throughput(Throughput::Elements(prefixes.len() as u64));
-    group.bench_function(format!("table_{}_entries", prefixes.len()), |b| {
-        b.iter(|| deagg::deaggregate_table(prefixes.iter().copied()).len())
+    let t = time(reps, || {
+        deagg::deaggregate_table(prefixes.iter().copied()).len()
     });
+    let name = format!("table_{}_entries", prefixes.len());
+    row(report, "deaggregation", &name, prefixes.len() as u64, t);
     // the paper's Figure 2 case, isolated
     let root: Prefix = "100.0.0.0/8".parse().expect("static");
     let inner: Prefix = "100.0.0.0/24".parse().expect("static");
-    group.bench_function("single_deep_split", |b| {
-        b.iter(|| deagg::partition_preserving(black_box(root), &[black_box(inner)]).len())
+    let t = time(reps, || {
+        deagg::partition_preserving(black_box(root), &[black_box(inner)]).len()
     });
-    group.finish();
+    row(report, "deaggregation", "single_deep_split", 1, t);
 }
 
-fn bench_cyclic(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cyclic");
+fn bench_cyclic(report: &mut Report, reps: usize) {
     let mut rng = SmallRng::seed_from_u64(3);
     let cyc = Cyclic::ipv4(&mut rng);
-    group.throughput(Throughput::Elements(1_000_000));
-    group.bench_function("ipv4_walk_1M", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for e in cyc.iter().take(1_000_000) {
-                acc ^= e;
-            }
-            acc
-        })
+    let t = time(reps, || {
+        cyc.iter().take(1_000_000).fold(0u64, |acc, e| acc ^ e)
     });
-    group.bench_function("construct_random_generator", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(rng.random());
-            Cyclic::ipv4(&mut rng).generator()
-        })
+    row(report, "cyclic", "ipv4_walk_1M", 1_000_000, t);
+    let t = time(reps, || {
+        let mut rng = SmallRng::seed_from_u64(rng.random());
+        Cyclic::ipv4(&mut rng).generator()
     });
-    group.finish();
+    row(report, "cyclic", "construct_random_generator", 1, t);
 }
 
-fn bench_wire(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wire");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("build_syn", |b| {
-        let mut dst = 0u32;
-        b.iter(|| {
-            dst = dst.wrapping_add(1);
-            wire::build_syn(0x0A000001, black_box(dst), 40000, 443, 7)
-        })
-    });
-    let frame = wire::build_syn(1, 2, 3, 4, 5);
-    group.bench_function("parse_and_validate", |b| {
-        b.iter(|| wire::parse_frame(black_box(&frame)).expect("valid frame"))
-    });
-    group.finish();
-}
-
-fn bench_siphash(c: &mut Criterion) {
+fn bench_siphash(report: &mut Report, reps: usize) {
+    // one hash is too short for the clock: time a batch per sample
+    const BATCH: u32 = 4096;
     let h = SipHash24::new(0xA, 0xB);
-    let mut group = c.benchmark_group("siphash");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("probe_validation", |b| {
-        let mut a = 0u32;
-        b.iter(|| {
+    let mut a = 0u32;
+    let t = time(reps, || {
+        for _ in 0..BATCH {
             a = a.wrapping_add(1);
-            h.probe_validation(black_box(a))
-        })
+            black_box(h.probe_validation(black_box(a)));
+        }
     });
-    group.finish();
+    row(report, "siphash", "probe_validation", u64::from(BATCH), t);
 }
 
-fn bench_prefix_set(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prefix_set");
+fn bench_prefix_set(report: &mut Report, reps: usize) {
     let prefixes = random_prefixes(10_000, 5);
-    group.throughput(Throughput::Elements(prefixes.len() as u64));
-    group.bench_function("from_prefixes_10k", |b| {
-        b.iter(|| PrefixSet::from_prefixes(prefixes.iter().copied()).num_addrs())
+    let n = prefixes.len() as u64;
+    let t = time(reps, || {
+        PrefixSet::from_prefixes(prefixes.iter().copied()).num_addrs()
     });
+    row(report, "prefix_set", "from_prefixes_10k", n, t);
     let set = PrefixSet::from_prefixes(prefixes.iter().copied());
     let mut rng = SmallRng::seed_from_u64(6);
     let addrs: Vec<u32> = (0..10_000).map(|_| rng.random()).collect();
-    group.bench_function("contains_10k_queries", |b| {
-        b.iter(|| addrs.iter().filter(|&&a| set.contains_addr(a)).count())
+    let t = time(reps, || {
+        addrs.iter().filter(|&&a| set.contains_addr(a)).count()
     });
-    group.finish();
+    row(report, "prefix_set", "contains_10k_queries", n, t);
 }
 
-fn bench_host_set(c: &mut Criterion) {
-    let mut group = c.benchmark_group("host_set");
+fn bench_host_set(report: &mut Report, reps: usize) {
     let mut rng = SmallRng::seed_from_u64(7);
     let a: HostSet = (0..500_000).map(|_| rng.random::<u32>()).collect();
-    let b_set: HostSet = (0..500_000).map(|_| rng.random::<u32>()).collect();
-    group.throughput(Throughput::Elements(500_000));
-    group.bench_function("intersection_500k", |bch| {
-        bch.iter(|| a.intersection_count(black_box(&b_set)))
-    });
+    let b: HostSet = (0..500_000).map(|_| rng.random::<u32>()).collect();
+    let t = time(reps, || a.intersection_count(black_box(&b)));
+    row(report, "host_set", "intersection_500k", 500_000, t);
     let p: Prefix = "128.0.0.0/2".parse().expect("static");
-    group.bench_function("count_in_prefix", |bch| {
-        bch.iter(|| a.count_in_prefix(black_box(p)))
-    });
-    group.finish();
+    let t = time(reps, || a.count_in_prefix(black_box(p)));
+    row(report, "host_set", "count_in_prefix", 1, t);
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_trie, bench_deagg, bench_cyclic, bench_wire, bench_siphash,
-              bench_prefix_set, bench_host_set
+fn main() {
+    let reps = reps(10, 3);
+    let mut report = Report::new("substrates", None);
+    bench_trie(&mut report, reps);
+    bench_deagg(&mut report, reps);
+    bench_cyclic(&mut report, reps);
+    bench_siphash(&mut report, reps);
+    bench_prefix_set(&mut report, reps);
+    bench_host_set(&mut report, reps);
+    report.finish();
 }
-criterion_main!(benches);

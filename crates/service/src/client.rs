@@ -4,7 +4,11 @@
 //!
 //! Keep-alive with transparent reconnect: the client holds one TCP
 //! connection and re-dials once when the server has closed it between
-//! requests (idle timeout, daemon restart); [`HttpClient::reconnects`]
+//! requests (idle timeout, daemon restart). It retries only when the
+//! failed request rode a reused connection, no response byte had
+//! arrived, and the read did not time out, so a request the server may
+//! have acted on (a submit on a fresh connection that closed without an
+//! answer, a slow reply) is never sent twice. [`HttpClient::reconnects`]
 //! exposes the re-dial count so the load bench can prove it measured
 //! the server, not connection setup. One response buffer is reused
 //! across requests, so polling in a loop allocates only the returned
@@ -75,19 +79,9 @@ impl HttpClient {
         mut on_chunk: impl FnMut(&[u8]),
     ) -> io::Result<(u16, Vec<u8>)> {
         let reused = self.stream.is_some();
-        let mut delivered = false;
-        match self.stream_once(path, api_key, &mut on_chunk, &mut delivered) {
-            Ok(resp) => Ok(resp),
-            // retry only when nothing reached the caller yet and the
-            // failure could be a stale keep-alive connection
-            Err(_) if reused && !delivered => {
-                self.stream = None;
-                self.stream_once(path, api_key, &mut on_chunk, &mut delivered)
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
+        match self.stream_once(path, api_key, &mut on_chunk) {
+            Err(e) if self.stale(reused, &e) => self.stream_once(path, api_key, &mut on_chunk),
+            resp => resp,
         }
     }
 
@@ -98,15 +92,23 @@ impl HttpClient {
         api_key: Option<&str>,
         body: Option<&str>,
     ) -> io::Result<(u16, String)> {
-        // one transparent retry: a keep-alive peer may have closed the
-        // cached connection since the last request
+        let reused = self.stream.is_some();
         match self.request_once(method, path, api_key, body) {
-            Ok(resp) => Ok(resp),
-            Err(_) => {
-                self.stream = None;
-                self.request_once(method, path, api_key, body)
-            }
+            Err(e) if self.stale(reused, &e) => self.request_once(method, path, api_key, body),
+            resp => resp,
         }
+    }
+
+    /// Whether a failed request looks like a keep-alive peer that closed
+    /// the cached connection, and may be retried once: a reused
+    /// connection, no response byte (the buffer is cleared before each
+    /// send), and no read timeout (the server may still be running it).
+    fn stale(&self, reused: bool, e: &io::Error) -> bool {
+        let timed_out = matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        );
+        reused && self.buf.is_empty() && !timed_out
     }
 
     fn connected(&mut self) -> io::Result<&mut TcpStream> {
@@ -136,9 +138,13 @@ impl HttpClient {
             body.len()
         ));
         let stream = self.connected()?;
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()
+        let sent = (stream.write_all(head.as_bytes()))
+            .and_then(|()| stream.write_all(body.as_bytes()))
+            .and_then(|()| stream.flush());
+        if sent.is_err() {
+            self.stream = None;
+        }
+        sent
     }
 
     fn request_once(
@@ -148,8 +154,8 @@ impl HttpClient {
         api_key: Option<&str>,
         body: Option<&str>,
     ) -> io::Result<(u16, String)> {
-        self.send_request(method, path, api_key, body.unwrap_or(""))?;
         self.buf.clear();
+        self.send_request(method, path, api_key, body.unwrap_or(""))?;
         let stream = self.stream.as_mut().expect("sent above");
         let result = (|| {
             let head = read_head(stream, &mut self.buf)?;
@@ -176,10 +182,9 @@ impl HttpClient {
         path: &str,
         api_key: Option<&str>,
         on_chunk: &mut impl FnMut(&[u8]),
-        delivered: &mut bool,
     ) -> io::Result<(u16, Vec<u8>)> {
-        self.send_request("GET", path, api_key, "")?;
         self.buf.clear();
+        self.send_request("GET", path, api_key, "")?;
         let stream = self.stream.as_mut().expect("sent above");
         let head = match read_head(stream, &mut self.buf) {
             Ok(head) => head,
@@ -229,7 +234,6 @@ impl HttpClient {
             }
             let data = &self.buf[pos..pos + size];
             on_chunk(data);
-            *delivered = true;
             body.extend_from_slice(data);
             pos += size + 2;
         }
@@ -339,4 +343,71 @@ fn read_chunk_size(
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad chunk size"))?;
     *pos = line_end + 2;
     Ok(size)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::httpd::{HttpServer, HttpdConfig, Response, Router};
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    #[test]
+    fn a_post_closed_without_an_answer_is_sent_once() {
+        // a peer that reads each request and closes without answering,
+        // counting the POSTs it saw
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let peer = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut posts = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let Ok((mut conn, _)) = listener.accept() else {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    };
+                    conn.set_nonblocking(false).unwrap();
+                    let mut req = Vec::new();
+                    let mut chunk = [0u8; 1024];
+                    while !req.ends_with(b"{}") {
+                        match conn.read(&mut chunk) {
+                            Ok(0) | Err(_) => break,
+                            Ok(n) => req.extend_from_slice(&chunk[..n]),
+                        }
+                    }
+                    posts += usize::from(req.starts_with(b"POST "));
+                }
+                posts
+            })
+        };
+        let mut client = HttpClient::connect(addr);
+        let err = client.post("/v1/campaigns", Some("t"), "{}").unwrap_err();
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(peer.join().unwrap(), 1, "the POST must not be replayed");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(client.reconnects(), 0);
+    }
+
+    #[test]
+    fn a_stale_keep_alive_connection_is_redialled() {
+        let router =
+            Router::<()>::new().route("GET", "/ping", |_, _, _| Response::text(200, "pong"));
+        let cfg = HttpdConfig {
+            event_loops: 1,
+            keep_alive: Duration::from_millis(150),
+        };
+        let server = HttpServer::bind_with("127.0.0.1:0", Arc::new(()), router, cfg).unwrap();
+        let mut client = HttpClient::connect(server.addr());
+        assert_eq!(client.get("/ping", None).unwrap().0, 200);
+        // idle past the keep-alive window: the server reaps the socket
+        std::thread::sleep(Duration::from_millis(600));
+        let (status, body) = client.get("/ping", None).unwrap();
+        assert_eq!((status, body.as_str()), (200, "pong"));
+        assert_eq!(client.reconnects(), 1);
+        server.shutdown();
+    }
 }
