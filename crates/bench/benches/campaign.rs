@@ -28,7 +28,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use tass_bench::{reps, scenario, time, Fixed, Report, Row};
+use tass_bench::{fixed, reps, scenario, time, Report, Row};
 use tass_bgp::ViewKind;
 use tass_core::campaign::CampaignPool;
 use tass_core::{ProbePlan, StrategyKind};
@@ -173,7 +173,7 @@ fn main() {
     report.row(
         Row::new("matrix_speedup")
             .set("workers", 4usize)
-            .set("speedup", Fixed(median_at(1) / median_at(4), 2))
+            .set("speedup", fixed(median_at(1) / median_at(4), 2))
             .set(
                 "cores",
                 std::thread::available_parallelism().map_or(1, |n| n.get()),

@@ -28,10 +28,10 @@
 //!    recorded; when the kernel lets us reset the RSS high-water mark
 //!    (`/proc/self/clear_refs`), the bench *asserts* the replay phase
 //!    stayed inside the corpus layer's cost model — cache ceiling, plus
-//!    two transient snapshot buffers per worker, plus fixed slack. The
-//!    process re-execs itself once with `MALLOC_MMAP_THRESHOLD_` pinned
-//!    so evicted buffers actually leave RSS instead of lingering in
-//!    glibc's per-thread arenas.
+//!    two transient snapshot buffers per worker, plus fixed slack. Before
+//!    building the corpus the bench fixes glibc's mmap threshold at
+//!    128 KiB so evicted buffers actually leave RSS instead of lingering
+//!    in glibc's per-thread arenas.
 //!
 //! Its rows measure the pieces on a small scale:
 //!
@@ -44,15 +44,20 @@
 //!   `CorpusGroundTruth::load_snapshot` from disk (read, mapped decode,
 //!   topology check) with a one-month cache, and from a warm cache.
 //!
+//! The rows run first, under the allocator's default (dynamic) mmap
+//! threshold, the setup tassd and the replaying campaigns run with.
+//!
 //! Results go to `BENCH_corpus_scale.json` at the repo root. Set
-//! `BENCH_QUICK=1` for the CI-sized run (same structure and assertions,
-//! ~100× smaller corpus).
+//! `BENCH_QUICK=1` for the CI-sized run: same structure and assertions,
+//! 250 k hosts a month over a 3 k-prefix table instead of 2 M over 400 k.
+//! Fewer hosts let the mapped load's fixed per-call cost crowd the ≥ 4×
+//! cold-load gate (60 k hosts read 3.75–4.9×; 250 k read 6–7.7×).
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::Write as _;
 use std::time::Instant;
-use tass_bench::{quick, reps, time, time_setup, Fixed, Report, Row};
+use tass_bench::{fixed, quick, reps, time, time_setup, Report, Row};
 use tass_bgp::synth::{generate, SynthConfig};
 use tass_bgp::{pfx2as, ScanUnit, SynthTable, ViewKind};
 use tass_core::campaign::CampaignPool;
@@ -220,24 +225,29 @@ fn month_load_rows(report: &mut Report, reps: usize) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn main() {
-    // glibc's dynamic mmap threshold rises past the snapshot buffer
-    // size after the first few frees, after which freed month buffers
-    // are retained in per-thread heap arenas instead of returned to the
-    // OS — RSS then measures allocator retention, not cache policy.
-    // Pin the threshold (start-time-only tunable, hence the re-exec) so
-    // snapshot-sized allocations stay mmap-backed and eviction is
-    // visible to the RSS assertion.
-    if std::env::var_os("MALLOC_MMAP_THRESHOLD_").is_none() {
-        let exe = std::env::current_exe().expect("own path");
-        let status = std::process::Command::new(exe)
-            .args(std::env::args_os().skip(1))
-            .env("MALLOC_MMAP_THRESHOLD_", "131072")
-            .status()
-            .expect("re-exec with pinned malloc threshold");
-        std::process::exit(status.code().unwrap_or(1));
+/// glibc's dynamic mmap threshold rises past the snapshot buffer size
+/// after the first few frees, after which freed month buffers are
+/// retained in per-thread heap arenas instead of returned to the OS —
+/// RSS then measures allocator retention, not cache policy. Fixing the
+/// threshold (which also turns off its dynamic rise) keeps
+/// snapshot-sized allocations mmap-backed, so eviction is visible to the
+/// RSS assertion. The codec and month-load rows run before this, under
+/// the allocator's defaults, as the daemon does.
+fn pin_mmap_threshold() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        const M_MMAP_THRESHOLD: i32 = -3;
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        // SAFETY: mallopt(3) takes two integers and only adjusts
+        // allocator tunables; no pointers involved.
+        let ok = unsafe { mallopt(M_MMAP_THRESHOLD, 128 << 10) };
+        assert_eq!(ok, 1, "mallopt(M_MMAP_THRESHOLD) refused");
     }
+}
 
+fn main() {
     let mut report = Report::new("corpus_scale", Some("BENCH_corpus_scale.json"));
     let codec_reps = reps(10, 3);
     let v4: Vec<u32> = (0..CODEC_HOSTS as u32)
@@ -252,11 +262,13 @@ fn main() {
     codec_rows(&mut report, "v6", &v6, codec_reps);
     drop((v4, v6));
     month_load_rows(&mut report, codec_reps);
+    // from here on the corpus phases run with a fixed threshold
+    pin_mmap_threshold();
 
     let scale = if quick() {
         Scale {
             l_prefix_count: 3_000,
-            hosts_per_month: 60_000,
+            hosts_per_month: 250_000,
             months: 15,
             cache_fraction: 0.2,
             rss_slack_bytes: 48 << 20,
@@ -368,12 +380,12 @@ fn main() {
         .set("snapshots", scale.months + 1)
         .set("hosts_per_month", scale.hosts_per_month)
         .set("snapshot_bytes_total", snapshot_bytes_total)
-        .set("ingest_addrs_per_sec", Fixed(ingest_aps, 0))
+        .set("ingest_addrs_per_sec", fixed(ingest_aps, 0))
         .set(
             "ingest_shuffled_addrs_per_sec",
-            Fixed(ingest_shuffled_aps, 0),
+            fixed(ingest_shuffled_aps, 0),
         )
-        .set("migrate_secs", Fixed(migrate_secs, 3));
+        .set("migrate_secs", fixed(migrate_secs, 3));
 
     // ---- cold month-load latency, before vs after (a few ms per call
     // at CI scale, ~0.1 s at full scale: the same reps either way, enough
@@ -425,7 +437,7 @@ fn main() {
         .head()
         .time("before_cold_load_ms", &before_cold, 1e3, 2)
         .time("after_cold_load_ms", &after_cold, 1e3, 2)
-        .set("cold_load_speedup", Fixed(cold_speedup, 2));
+        .set("cold_load_speedup", fixed(cold_speedup, 2));
 
     // ---- warm replay at 1 and 4 workers (fully resident cache)
     let kinds: Vec<StrategyKind> = [0.90, 0.93, 0.95, 0.97]
@@ -457,7 +469,7 @@ fn main() {
         .head()
         .time("warm_replay_secs_w1", &warm_w1, 1.0, 3)
         .time("warm_replay_secs_w4", &warm_w4, 1.0, 3)
-        .set("warm_w1_over_w4", Fixed(warm_ratio, 2));
+        .set("warm_w1_over_w4", fixed(warm_ratio, 2));
 
     // ---- bounded-memory replay under a hard byte ceiling
     let cache_bytes = (snapshot_bytes_total as f64 * scale.cache_fraction) as u64;
@@ -494,7 +506,7 @@ fn main() {
     report
         .head()
         .set("cache_bytes_ceiling", cache_bytes)
-        .set("bounded_replay_secs", Fixed(bounded_secs, 3))
+        .set("bounded_replay_secs", fixed(bounded_secs, 3))
         .set("bounded_replay_rss_delta_bytes", replay_rss_delta)
         .set("rss_bound_bytes", rss_bound)
         .set("rss_ceiling_asserted", peak_reset)

@@ -24,7 +24,7 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use tass_bench::{reps, time, Fixed, Report, Row};
+use tass_bench::{fixed, reps, time, Report, Row};
 use tass_core::ProbePlan;
 use tass_model::{HostSet, Protocol};
 use tass_net::{Prefix, V6};
@@ -181,12 +181,12 @@ fn wire_engine_rows(report: &mut Report, reps: usize) {
             Row::new("wire_overhead")
                 .set("family", family)
                 .set("probes", SMALL_SCAN)
-                .set("factor", Fixed(wire.median / logical.median, 2))
+                .set("factor", fixed(wire.median / logical.median, 2))
                 .set(
                     "logical_ns_per_probe",
-                    Fixed(logical.median * ns_per_probe, 0),
+                    fixed(logical.median * ns_per_probe, 0),
                 )
-                .set("wire_ns_per_probe", Fixed(wire.median * ns_per_probe, 0)),
+                .set("wire_ns_per_probe", fixed(wire.median * ns_per_probe, 0)),
         );
     }
 }

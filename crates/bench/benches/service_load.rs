@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
-use tass_bench::{quick, reps, time, Fixed, Report, Row};
+use tass_bench::{fixed, quick, reps, time, Report, Row};
 use tass_model::registry::SourceRegistry;
 use tass_model::{Universe, UniverseConfig};
 use tass_service::{
@@ -295,18 +295,18 @@ fn sweep_row(
         .expect("clients > 0");
     let mut polls: Vec<Duration> = runs.into_iter().flat_map(|r| r.poll_latencies).collect();
     polls.sort_unstable();
-    let ms = |d: Duration| Fixed(d.as_secs_f64() * 1e3, 3);
+    let ms = |d: Duration| fixed(d.as_secs_f64() * 1e3, 3);
     let mut row = Row::new(label);
     row.set("clients", clients)
         .set("campaigns_per_client", campaigns_per_client)
         .set("slow_clients", slow_clients)
         .set(
             "submissions_per_sec",
-            Fixed(total as f64 / submit_wall.as_secs_f64(), 1),
+            fixed(total as f64 / submit_wall.as_secs_f64(), 1),
         )
         .set(
             "completions_per_sec",
-            Fixed(total as f64 / done_wall.as_secs_f64(), 1),
+            fixed(total as f64 / done_wall.as_secs_f64(), 1),
         )
         .set("poll_p50_ms", ms(polls[polls.len() / 2]))
         .set(
@@ -314,7 +314,7 @@ fn sweep_row(
             ms(polls[(polls.len() * 99 / 100).min(polls.len() - 1)]),
         )
         .set("polls", polls.len())
-        .set("wall_secs", Fixed(wall.as_secs_f64(), 3));
+        .set("wall_secs", fixed(wall.as_secs_f64(), 3));
     row
 }
 

@@ -16,7 +16,7 @@
 //! smaller sweep, same structure and assertions. A quick run never
 //! writes the checked-in `BENCH_*.json`; only a full run does.
 
-use std::fmt::Write as _;
+use serde::{Serialize, Value};
 use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -111,57 +111,25 @@ pub fn time_setup<I, O>(
     Timing::of(samples)
 }
 
-/// A value a [`Row`] can hold.
-pub trait Json {
-    /// Append the value's JSON text.
-    fn write_json(&self, out: &mut String);
-}
-
-impl Json for &str {
-    fn write_json(&self, out: &mut String) {
-        out.push('"');
-        for c in self.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if u32::from(c) < 0x20 => write!(out, "\\u{:04x}", u32::from(c)).unwrap(),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
+/// `x` rounded to `decimals` places, as a JSON number (`null` when not
+/// finite). With no decimals it is written as an integer.
+pub fn fixed(x: f64, decimals: usize) -> Value {
+    if !x.is_finite() {
+        return Value::Null;
     }
-}
-
-macro_rules! json_display {
-    ($($t:ty),*) => {$(
-        impl Json for $t {
-            fn write_json(&self, out: &mut String) {
-                write!(out, "{self}").unwrap();
-            }
-        }
-    )*};
-}
-json_display!(bool, u32, u64, usize, i64);
-
-/// A float printed with a fixed number of decimals (`null` when not
-/// finite).
-#[derive(Debug, Clone, Copy)]
-pub struct Fixed(pub f64, pub usize);
-
-impl Json for Fixed {
-    fn write_json(&self, out: &mut String) {
-        if self.0.is_finite() {
-            write!(out, "{:.*}", self.1, self.0).unwrap();
-        } else {
-            out.push_str("null");
-        }
+    let scale = 10f64.powi(decimals as i32);
+    let rounded = (x * scale).round() / scale;
+    if decimals == 0 {
+        (rounded as i64).to_value()
+    } else {
+        Value::F64(rounded)
     }
 }
 
 /// One JSON object: a row of a sweep, or a report's top-level fields.
 #[derive(Debug, Default)]
 pub struct Row {
-    fields: String,
+    fields: Vec<(String, Value)>,
 }
 
 impl Row {
@@ -173,33 +141,28 @@ impl Row {
     }
 
     /// Add `"key": value`.
-    pub fn set(&mut self, key: &str, value: impl Json) -> &mut Row {
-        if !self.fields.is_empty() {
-            self.fields.push(',');
-        }
-        key.write_json(&mut self.fields);
-        self.fields.push(':');
-        value.write_json(&mut self.fields);
+    pub fn set(&mut self, key: &str, value: impl Serialize) -> &mut Row {
+        self.fields.push((key.to_string(), value.to_value()));
         self
     }
 
     /// Add a timing as `key`, `key_p25` and `key_p75`, each in seconds
     /// times `unit` (1e3 for ms, 1e9 / batch for ns per call).
     pub fn time(&mut self, key: &str, t: &Timing, unit: f64, decimals: usize) -> &mut Row {
-        self.set(key, Fixed(t.median * unit, decimals))
-            .set(&format!("{key}_p25"), Fixed(t.p25 * unit, decimals))
-            .set(&format!("{key}_p75"), Fixed(t.p75 * unit, decimals))
+        self.set(key, fixed(t.median * unit, decimals))
+            .set(&format!("{key}_p25"), fixed(t.p25 * unit, decimals))
+            .set(&format!("{key}_p75"), fixed(t.p75 * unit, decimals))
     }
 
     /// Add `work` per second as `key`, `key_p25` and `key_p75`.
     pub fn rate(&mut self, key: &str, t: &Timing, work: f64, decimals: usize) -> &mut Row {
-        self.set(key, Fixed(work / t.median, decimals))
-            .set(&format!("{key}_p25"), Fixed(work / t.p75, decimals))
-            .set(&format!("{key}_p75"), Fixed(work / t.p25, decimals))
+        self.set(key, fixed(work / t.median, decimals))
+            .set(&format!("{key}_p25"), fixed(work / t.p75, decimals))
+            .set(&format!("{key}_p75"), fixed(work / t.p25, decimals))
     }
 
     fn json(&self) -> String {
-        format!("{{{}}}", self.fields)
+        serde_json::to_string(&Value::Map(self.fields.clone())).expect("rendering cannot fail")
     }
 }
 
@@ -248,8 +211,10 @@ impl Report {
             eprintln!("{}: quick run, {file} left untouched", self.bench);
             return;
         }
+        // the head's fields, then the sweep one row per line
         let rows = self.rows.join(",\n  ");
-        let out = format!("{{{},\"sweep\":[\n  {rows}\n]}}\n", self.head.fields);
+        let head = head.strip_suffix('}').expect("an object");
+        let out = format!("{head},\"sweep\":[\n  {rows}\n]}}\n");
         let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(file);
         std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {file}: {e}"));
         eprintln!("{} → {}", self.bench, path.display());
@@ -296,7 +261,7 @@ mod tests {
             .set("ok", true)
             .time("ms", &t, 1e3, 0)
             .rate("per_s", &t, 8.0, 1)
-            .set("bad", Fixed(f64::NAN, 2));
+            .set("bad", fixed(f64::NAN, 2));
         assert_eq!(
             row.json(),
             concat!(

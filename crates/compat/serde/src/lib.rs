@@ -235,6 +235,12 @@ impl Serialize for str {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for &T {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())

@@ -6,9 +6,12 @@
 //! connection and re-dials once when the server has closed it between
 //! requests (idle timeout, daemon restart). It retries only when the
 //! failed request rode a reused connection, no response byte had
-//! arrived, and the read did not time out, so a request the server may
-//! have acted on (a submit on a fresh connection that closed without an
-//! answer, a slow reply) is never sent twice. [`HttpClient::reconnects`]
+//! arrived, and the read did not time out. So a request on a fresh
+//! connection, or one that got part of a response or timed out, is
+//! never sent twice. A request on a reused connection that the server
+//! closes before answering is sent once more, though the server may
+//! have acted on it (a daemon that queued a submit, then closed while
+//! draining): such a POST can be replayed once. [`HttpClient::reconnects`]
 //! exposes the re-dial count so the load bench can prove it measured
 //! the server, not connection setup. One response buffer is reused
 //! across requests, so polling in a loop allocates only the returned
