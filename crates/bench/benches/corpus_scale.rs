@@ -51,7 +51,8 @@
 //! `BENCH_QUICK=1` for the CI-sized run: same structure and assertions,
 //! 250 k hosts a month over a 3 k-prefix table instead of 2 M over 400 k.
 //! Fewer hosts let the mapped load's fixed per-call cost crowd the ≥ 4×
-//! cold-load gate (60 k hosts read 3.75–4.9×; 250 k read 6–7.7×).
+//! cold-load gate (on a 2-vCPU x86 box, 60 k hosts read 3.75–4.9×;
+//! 250 k read 6–7.7×).
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
